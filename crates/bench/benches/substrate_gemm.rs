@@ -10,17 +10,15 @@
 //!
 //! On top of the printed table the run emits a machine-readable report
 //! (`results/BENCH_gemm.json`, schema `mrsch-bench/v2`) that the CI
-//! perf gate (`bench_gate`) compares against the committed baseline —
-//! which may still be the legacy `mrsch-bench-gemm/v1` document (the
-//! gate sniffs and up-converts). The canonical auto/threads2 cells
-//! additionally carry a `speedup_vs_serial` extra — the in-run thread
-//! scaling CI asserts on multi-core runners.
+//! perf gate (`bench_gate`) compares against the committed baseline.
+//! The canonical auto/threads2 cells additionally carry a
+//! `speedup_vs_serial` extra — the in-run thread scaling CI asserts on
+//! multi-core runners.
 //! Env knobs: `MRSCH_BENCH_QUICK=1` shrinks the measurement budget for
 //! CI; `MRSCH_BENCH_JSON=path` redirects the report.
 
 use criterion::Criterion;
-use mrsch_bench::gemm_report::{GemmRecord, GemmReport};
-use mrsch_bench::report::BenchReport;
+use mrsch_bench::report::{BenchRecord, BenchReport};
 use mrsch_linalg::{gemm, Matrix};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -170,8 +168,9 @@ fn main() {
             .map(|r| r.mean_ns)
     };
     let legacy_ns = mean_of("gemm_blocked_legacy/256x512x256");
+    let serial_ns = mean_of("gemm/256x512x256/serial");
 
-    let results: Vec<GemmRecord> = CELLS
+    let results: Vec<BenchRecord> = CELLS
         .iter()
         .filter_map(|cell| {
             let ns = mean_of(cell.id)?;
@@ -179,42 +178,40 @@ fn main() {
             // The canonical-shape micro-kernel cells carry their in-run
             // speedup over the legacy loop: the gate's tracked metric.
             let tracked = matches!(cell.op, Op::AB) && cell.m == 256;
-            GemmRecord {
-                bench: cell.id.to_string(),
-                m: cell.m,
-                k: cell.k,
-                n: cell.n,
-                op: cell.op.tag().to_string(),
-                policy: cell.policy_tag.to_string(),
-                ns_per_iter: ns,
-                gflops: flops / ns,
-                speedup_vs_blocked: if tracked {
-                    legacy_ns.map(|l| l / ns)
-                } else {
-                    None
-                },
+            let ratio = if tracked { legacy_ns.map(|l| l / ns) } else { None };
+            let mut extras = vec![
+                ("gflops".to_string(), flops / ns),
+                ("m".to_string(), cell.m as f64),
+                ("k".to_string(), cell.k as f64),
+                ("n".to_string(), cell.n as f64),
+            ];
+            // In-run thread scaling on the parallel canonical cells.
+            if matches!(cell.policy_tag, "auto" | "threads2") {
+                if let Some(serial) = serial_ns {
+                    extras.push(("speedup_vs_serial".to_string(), serial / ns));
+                }
             }
-            .into()
+            Some(BenchRecord {
+                bench: cell.id.to_string(),
+                group: "gemm".to_string(),
+                unit: "ns_per_iter".to_string(),
+                value: ns,
+                ratio,
+                ratio_kind: ratio.map_or(String::new(), |_| "speedup_vs_blocked".to_string()),
+                extras,
+                tags: vec![
+                    ("op".to_string(), cell.op.tag().to_string()),
+                    ("policy".to_string(), cell.policy_tag.to_string()),
+                ],
+            })
         })
         .collect();
 
-    let v1 = GemmReport {
+    let report = BenchReport {
         quick,
-        kernel_isa: mrsch_linalg::kernel_isa().to_string(),
+        host: mrsch_linalg::kernel_isa().to_string(),
         results,
     };
-
-    // Emit as v2, with in-run thread scaling on the parallel canonical
-    // cells (`speedup_vs_serial` = serial ns / this cell's ns).
-    let mut report = BenchReport::from_v1(&v1);
-    let serial_ns = mean_of("gemm/256x512x256/serial");
-    for id in ["gemm/256x512x256/auto", "gemm/256x512x256/threads2"] {
-        if let (Some(serial), Some(ns)) = (serial_ns, mean_of(id)) {
-            if let Some(r) = report.results.iter_mut().find(|r| r.bench == id) {
-                r.extras.push(("speedup_vs_serial".to_string(), serial / ns));
-            }
-        }
-    }
 
     // A bare `cargo bench -- <filter>` run that skipped the sweep still
     // writes whatever it measured; the gate catches missing shapes.

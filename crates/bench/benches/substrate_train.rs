@@ -3,16 +3,9 @@
 //! Two families of cells, written to `results/BENCH_train.json` (schema
 //! `mrsch-bench/v2`) and gated against the committed baseline:
 //!
-//! * **barrier vs pipelined curriculum training** — the same curriculum
-//!   trained three ways with two rollout workers: the round-barrier
-//!   trainer, the lockstep pipeline (staleness 0 — **asserted
-//!   bit-identical** to the barrier checkpoint in-run), and the
-//!   bounded-staleness pipeline (`max_staleness = 2`), whose
-//!   episodes/sec carries the **in-run** `speedup_vs_barrier` ratio.
-//!   Rollout can only overlap learning with real cores, so the 1.2×
-//!   acceptance floor is enforced by `bench_gate
-//!   --require-pipeline-scaling`, which CI enables on multi-core
-//!   runners only (the thread-scaling precedent).
+//! * **curriculum training** — a disruption-hardening curriculum
+//!   through the training engine with two rollout workers, reported as
+//!   episodes/sec (host-speed dependent, not gated).
 //! * **cold vs warm policy cache** — the same `EvalPlan` grid (mrsch ×
 //!   clean × seeds) run twice against one content-addressed cache
 //!   directory. The cold pass trains and stores every cell; the warm
@@ -26,7 +19,7 @@
 //! `results/BENCH_train.json`).
 
 use mrsch::prelude::*;
-use mrsch_bench::report::{BenchRecord, BenchReport, PIPELINE_BENCH, SCHEMA};
+use mrsch_bench::report::{BenchRecord, BenchReport, SCHEMA};
 use mrsch_dfp::DfpConfig;
 use mrsch_eval::{EvalPlan, PolicyCache, PolicySpec};
 use mrsch_linalg::kernel_isa;
@@ -70,7 +63,7 @@ fn main() {
     let quick = std::env::var_os("MRSCH_BENCH_QUICK").is_some();
     let (jobs, per_phase) = if quick { (30, 3) } else { (80, 8) };
 
-    // --- barrier vs pipelined curriculum training ----------------------
+    // --- curriculum training ------------------------------------------
     let curriculum = Curriculum::disruption_hardening(
         bench_scenario(jobs, SEED ^ 5),
         DisruptionConfig { cancel_fraction: 0.3, ..Default::default() },
@@ -78,36 +71,16 @@ fn main() {
         per_phase,
     );
     let total_episodes = (3 * per_phase) as f64;
-    let train = |trainer: TrainerConfig| {
-        let mut agent = MrschBuilder::new(bench_system(), SimParams::new(4, true))
-            .seed(SEED)
-            .trainer(trainer)
-            .dfp_config(bench_dfp_config())
-            .build();
-        let t0 = Instant::now();
-        agent.train_with_curriculum(&curriculum);
-        (t0.elapsed().as_secs_f64(), agent.agent_mut().network_mut().save_checkpoint())
-    };
-
-    let base = TrainerConfig::default().workers(2).round_size(2).batches_per_episode(4);
-    let (barrier_s, barrier_ckpt) = train(base.clone());
-    let (lockstep_s, lockstep_ckpt) = train(base.clone().pipeline(PipelineConfig::lockstep()));
-    assert_eq!(
-        barrier_ckpt.as_ref(),
-        lockstep_ckpt.as_ref(),
-        "lockstep pipeline must be bit-identical to the barrier trainer"
-    );
-    let (pipelined_s, _) = train(base.clone().pipeline(PipelineConfig::bounded_staleness(2)));
-
-    println!(
-        "train/curriculum ({:.0} episodes): barrier {:.2}s, lockstep {:.2}s, \
-         pipelined(s=2) {:.2}s ({:.2}x vs barrier)",
-        total_episodes,
-        barrier_s,
-        lockstep_s,
-        pipelined_s,
-        barrier_s / pipelined_s
-    );
+    let trainer = TrainerConfig::default().workers(2).round_size(2).batches_per_episode(4);
+    let mut agent = MrschBuilder::new(bench_system(), SimParams::new(4, true))
+        .seed(SEED)
+        .trainer(trainer)
+        .dfp_config(bench_dfp_config())
+        .build();
+    let t0 = Instant::now();
+    agent.train_with_curriculum(&curriculum);
+    let train_s = t0.elapsed().as_secs_f64();
+    println!("train/curriculum ({total_episodes:.0} episodes, 2 workers): {train_s:.2}s");
 
     // --- cold vs warm policy cache -------------------------------------
     let seeds: Vec<u64> = if quick { vec![1] } else { vec![1, 2] };
@@ -162,31 +135,21 @@ fn main() {
     );
 
     // --- report --------------------------------------------------------
-    let train_cell = |bench: &str, secs: f64, ratio: Option<f64>, trainer: &str| BenchRecord {
-        bench: bench.to_string(),
-        group: "train".to_string(),
-        unit: "episodes_per_sec".to_string(),
-        value: total_episodes / secs,
-        ratio,
-        ratio_kind: if ratio.is_some() { "speedup_vs_barrier".to_string() } else { String::new() },
-        extras: vec![
-            ("seconds".to_string(), secs),
-            ("episodes".to_string(), total_episodes),
-            ("workers".to_string(), 2.0),
-        ],
-        tags: vec![("trainer".to_string(), trainer.to_string())],
-    };
     let results = vec![
-        train_cell("train/curriculum/barrier_w2", barrier_s, None, "barrier"),
-        train_cell("train/curriculum/lockstep_w2", lockstep_s, None, "pipeline_lockstep"),
-        // The gated throughput cell: bounded-staleness pipeline speedup
-        // over the barrier trainer, same curriculum, same process.
-        train_cell(
-            PIPELINE_BENCH,
-            pipelined_s,
-            Some(barrier_s / pipelined_s),
-            "pipeline_staleness2",
-        ),
+        BenchRecord {
+            bench: "train/curriculum/barrier_w2".to_string(),
+            group: "train".to_string(),
+            unit: "episodes_per_sec".to_string(),
+            value: total_episodes / train_s,
+            ratio: None,
+            ratio_kind: String::new(),
+            extras: vec![
+                ("seconds".to_string(), train_s),
+                ("episodes".to_string(), total_episodes),
+                ("workers".to_string(), 2.0),
+            ],
+            tags: vec![("trainer".to_string(), "barrier".to_string())],
+        },
         BenchRecord {
             bench: "train/policy_cache/cold".to_string(),
             group: "train".to_string(),

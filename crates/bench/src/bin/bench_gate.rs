@@ -3,13 +3,10 @@
 //! ```text
 //! bench_gate <current.json> <baseline.json> [--tolerance 0.20]
 //!                                           [--require-thread-scaling [floor]]
-//!                                           [--require-pipeline-scaling [floor]]
 //! ```
 //!
-//! Both files are bench reports — `mrsch-bench/v2` ([`report`]) or the
-//! legacy `mrsch-bench-gemm/v1` ([`gemm_report`]), sniffed by schema tag
-//! and up-converted, so the committed v1 GEMM baseline keeps working.
-//! The gate compares the **in-run ratio** carried by every tracked
+//! Both files are `mrsch-bench/v2` reports ([`report`]). The gate
+//! compares the **in-run ratio** carried by every tracked
 //! record (speedup over the legacy blocked loop for GEMM, indexed-queue
 //! speedup over the binary heap for the event engine) — host-speed
 //! independent, measured in the same process as the candidate — and
@@ -21,16 +18,13 @@
 //! `--require-thread-scaling` additionally asserts the canonical
 //! threads2 GEMM cell recorded a `speedup_vs_serial` extra of at least
 //! `floor` (default 1.05) — CI enables it only on multi-core runners.
-//! `--require-pipeline-scaling` does the same for the pipelined training
-//! cell's `speedup_vs_barrier` ratio (default floor 1.2): rollout can
-//! only overlap learning with real cores, so CI gates it identically.
 
 use mrsch_bench::report::{self, BenchReport};
 
 fn load(path: &str) -> BenchReport {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("bench_gate: cannot read {path}: {e}"));
-    BenchReport::parse_any(&text)
+    BenchReport::parse(&text)
         .unwrap_or_else(|e| panic!("bench_gate: cannot parse {path}: {e}"))
 }
 
@@ -39,7 +33,6 @@ fn main() {
     let mut paths = Vec::new();
     let mut tolerance = 0.20f64;
     let mut thread_scaling: Option<f64> = None;
-    let mut pipeline_scaling: Option<f64> = None;
     let mut it = args.iter().peekable();
     while let Some(arg) = it.next() {
         if arg == "--tolerance" {
@@ -55,16 +48,6 @@ fn main() {
                 })
                 .unwrap_or(1.05);
             thread_scaling = Some(floor);
-        } else if arg == "--require-pipeline-scaling" {
-            // Optional floor value; the acceptance bar is 1.2x.
-            let floor = it
-                .peek()
-                .and_then(|v| v.parse::<f64>().ok())
-                .inspect(|_| {
-                    it.next();
-                })
-                .unwrap_or(1.2);
-            pipeline_scaling = Some(floor);
         } else {
             paths.push(arg.clone());
         }
@@ -72,8 +55,7 @@ fn main() {
     let [current_path, baseline_path] = paths.as_slice() else {
         eprintln!(
             "usage: bench_gate <current.json> <baseline.json> \
-             [--tolerance 0.20] [--require-thread-scaling [floor]] \
-             [--require-pipeline-scaling [floor]]"
+             [--tolerance 0.20] [--require-thread-scaling [floor]]"
         );
         std::process::exit(2);
     };
@@ -93,11 +75,6 @@ fn main() {
         outcome.checked.extend(scaling.checked);
         outcome.failures.extend(scaling.failures);
     }
-    if let Some(floor) = pipeline_scaling {
-        let scaling = report::check_pipeline_scaling(&current, floor);
-        outcome.checked.extend(scaling.checked);
-        outcome.failures.extend(scaling.failures);
-    }
     for line in &outcome.checked {
         println!("  {line}");
     }
@@ -113,25 +90,24 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use mrsch_bench::gemm_report::{gate, GemmRecord, GemmReport, CANONICAL_BENCH};
-    use mrsch_bench::report::{self, BenchReport};
+    use mrsch_bench::report::{gate, BenchRecord, BenchReport, CANONICAL_BENCH};
 
-    fn record(bench: &str, speedup: Option<f64>) -> GemmRecord {
-        GemmRecord {
+    /// A GEMM-sweep cell as `substrate_gemm` emits it.
+    fn record(bench: &str, speedup: Option<f64>) -> BenchRecord {
+        BenchRecord {
             bench: bench.to_string(),
-            m: 256,
-            k: 512,
-            n: 256,
-            op: "a_b".to_string(),
-            policy: "serial".to_string(),
-            ns_per_iter: 1_000_000.0,
-            gflops: 67.1,
-            speedup_vs_blocked: speedup,
+            group: "gemm".to_string(),
+            unit: "ns_per_iter".to_string(),
+            value: 1_000_000.0,
+            ratio: speedup,
+            ratio_kind: speedup.map_or(String::new(), |_| "speedup_vs_blocked".to_string()),
+            extras: vec![("gflops".to_string(), 67.1), ("m".to_string(), 256.0)],
+            tags: vec![("op".to_string(), "a_b".to_string())],
         }
     }
 
-    fn report(cells: Vec<GemmRecord>) -> GemmReport {
-        GemmReport { quick: true, kernel_isa: "test".to_string(), results: cells }
+    fn report(cells: Vec<BenchRecord>) -> BenchReport {
+        BenchReport { quick: true, host: "test".to_string(), results: cells }
     }
 
     #[test]
@@ -140,19 +116,15 @@ mod tests {
             record(CANONICAL_BENCH, Some(4.25)),
             record("gemm_infer/1x256x128/serial", None),
         ]);
-        let parsed = GemmReport::parse(&original.to_json()).expect("own output must parse");
-        assert_eq!(parsed.results.len(), 2);
-        assert_eq!(parsed.results[0].bench, CANONICAL_BENCH);
-        assert_eq!(parsed.results[0].speedup_vs_blocked, Some(4.25));
-        assert_eq!(parsed.results[1].speedup_vs_blocked, None);
-        assert!(parsed.quick);
+        let parsed = BenchReport::parse(&original.to_json()).expect("own output must parse");
+        assert_eq!(parsed, original);
     }
 
     #[test]
     fn parser_rejects_garbage_and_wrong_schema() {
-        assert!(GemmReport::parse("not json").is_err());
-        assert!(GemmReport::parse("{\"schema\": \"other/v9\", \"results\": []}").is_err());
-        assert!(GemmReport::parse("{\"schema\": \"mrsch-bench-gemm/v1\"}").is_err());
+        assert!(BenchReport::parse("not json").is_err());
+        assert!(BenchReport::parse("{\"schema\": \"other/v9\", \"results\": []}").is_err());
+        assert!(BenchReport::parse("{\"schema\": \"mrsch-bench/v2\"}").is_err());
     }
 
     #[test]
@@ -162,7 +134,7 @@ mod tests {
         let current = report(vec![record(CANONICAL_BENCH, Some(3.4))]);
         let outcome = gate(&current, &baseline, 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(!outcome.checked.is_empty());
+        assert!(outcome.checked.iter().any(|c| c.contains("speedup_vs_blocked")));
     }
 
     #[test]
@@ -213,20 +185,5 @@ mod tests {
         let current = report(vec![record(CANONICAL_BENCH, Some(4.0))]);
         let outcome = gate(&current, &baseline, 0.20);
         assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-    }
-
-    #[test]
-    fn v2_gate_accepts_a_v1_baseline_document() {
-        // The exact cross-schema path main() exercises: a v2 current run
-        // gated against the committed v1 baseline file.
-        let v1_baseline = report(vec![record(CANONICAL_BENCH, Some(4.0))]);
-        let baseline = BenchReport::parse_any(&v1_baseline.to_json()).expect("v1 sniffs");
-        let current = BenchReport::from_v1(&report(vec![record(CANONICAL_BENCH, Some(3.6))]));
-        let outcome = report::gate(&current, &baseline, 0.20);
-        assert!(outcome.failures.is_empty(), "{:?}", outcome.failures);
-        assert!(outcome.checked.iter().any(|c| c.contains("speedup_vs_blocked")));
-
-        let regressed = BenchReport::from_v1(&report(vec![record(CANONICAL_BENCH, Some(3.0))]));
-        assert!(!report::gate(&regressed, &baseline, 0.20).failures.is_empty());
     }
 }

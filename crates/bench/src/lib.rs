@@ -1,39 +1,6 @@
-//! Shared helpers for the Criterion benchmark harness.
-//!
-//! Every figure of the paper has a matching bench target (see
-//! `benches/`). Each bench first *regenerates the figure's rows/series
-//! once* at bench scale (printed to stdout so `cargo bench` output
-//! contains the reproduction data), then measures the core computation
-//! with Criterion.
+//! Shared pieces of the benchmark harness: the `mrsch-bench/v2` report
+//! schema every substrate bench (`benches/`) emits and the regression
+//! gate (`bench_gate`) that compares a run against its committed
+//! baseline.
 
-use mrsch::prelude::*;
-use mrsch_experiments::ExpScale;
-use mrsch_workload::split::paper_split;
-
-pub mod gemm_report;
 pub mod report;
-
-/// The scale benches run at: the quick experiment scale with slightly
-/// smaller training so one-time setup stays in seconds.
-pub fn bench_scale() -> ExpScale {
-    let mut s = ExpScale::quick();
-    s.eval_jobs = 60;
-    s.jobs_per_set = 30;
-    s.batches_per_episode = 4;
-    s
-}
-
-/// Evaluation job list for a spec at bench scale.
-pub fn bench_eval_jobs(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Vec<Job> {
-    let system = spec.system_for(&scale.base_system());
-    let trace = scale.base_trace(seed);
-    let split = paper_split(&trace);
-    let mut test = split.test;
-    test.truncate(scale.eval_jobs);
-    spec.build(&test, &system, seed ^ 0xEA1)
-}
-
-/// One-time trained MRSch agent for a spec at bench scale.
-pub fn bench_trained_mrsch(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Mrsch {
-    mrsch_experiments::comparison::train_mrsch(spec, scale, seed, StateModuleKind::Mlp)
-}

@@ -40,48 +40,6 @@ use mrsim::SimReport;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
-
-/// Pipelined bounded-staleness rollout mode.
-///
-/// In barrier mode every rollout worker stops at the end of a round
-/// while the learner absorbs and trains. In pipeline mode workers keep
-/// generating episodes against the freshest *published* snapshot while
-/// the learner builds the next one, subject to a staleness bound: an
-/// episode belonging to round `r` may roll out against any published
-/// snapshot version `>= r - max_staleness`.
-///
-/// `max_staleness = 0` reduces **exactly** to barrier semantics (every
-/// round-`r` episode waits for snapshot `r`), and the engine's tests
-/// pin that the weights and reports are bit-identical. Any
-/// `max_staleness > 0` makes the snapshot choice timing-dependent, so
-/// it requires the explicit `deterministic: false` opt-in —
-/// [`TrainingEngine::train`] refuses the combination otherwise.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PipelineConfig {
-    /// How many snapshot versions a rollout may lag behind its round.
-    pub max_staleness: usize,
-    /// Must be `false` when `max_staleness > 0`: the caller explicitly
-    /// acknowledges that stale rollouts are timing-dependent.
-    pub deterministic: bool,
-}
-
-impl PipelineConfig {
-    /// Pipelined machinery, barrier semantics: staleness 0, bit-identical
-    /// to the non-pipelined path.
-    pub fn lockstep() -> Self {
-        Self { max_staleness: 0, deterministic: true }
-    }
-
-    /// Bounded-staleness mode: rollouts may lag up to `k` snapshot
-    /// versions. For `k > 0` this carries the `deterministic: false`
-    /// opt-in the engine requires.
-    pub fn bounded_staleness(k: usize) -> Self {
-        Self { max_staleness: k, deterministic: k == 0 }
-    }
-}
 
 /// Training-loop knobs, split out of `MrschBuilder` so the same agent
 /// definition can be trained serially, in parallel, or under different
@@ -97,16 +55,11 @@ pub struct TrainerConfig {
     pub round_size: usize,
     /// Gradient steps per absorbed episode.
     pub batches_per_episode: usize,
-    /// Pipelined rollout/learner overlap. `None` is the classic barrier
-    /// loop; `Some(PipelineConfig::lockstep())` runs the pipelined
-    /// machinery with bit-identical barrier semantics; bounded staleness
-    /// (`deterministic: false`) trades determinism for throughput.
-    pub pipeline: Option<PipelineConfig>,
 }
 
 impl Default for TrainerConfig {
     fn default() -> Self {
-        Self { workers: 1, round_size: 4, batches_per_episode: 32, pipeline: None }
+        Self { workers: 1, round_size: 4, batches_per_episode: 32 }
     }
 }
 
@@ -126,12 +79,6 @@ impl TrainerConfig {
     /// Set the gradient steps per episode.
     pub fn batches_per_episode(mut self, n: usize) -> Self {
         self.batches_per_episode = n;
-        self
-    }
-
-    /// Enable the pipelined rollout mode.
-    pub fn pipeline(mut self, cfg: PipelineConfig) -> Self {
-        self.pipeline = Some(cfg);
         self
     }
 }
@@ -199,20 +146,7 @@ impl TrainingEngine {
     }
 
     /// Train `mrsch` over `curriculum`, phase by phase.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the config asks for `max_staleness > 0` without the
-    /// explicit `deterministic: false` opt-in — stale rollouts are
-    /// timing-dependent and must never be enabled by accident.
     pub fn train(&self, mrsch: &mut Mrsch, curriculum: &Curriculum) -> EngineOutcome {
-        if let Some(p) = self.cfg.pipeline {
-            assert!(
-                p.max_staleness == 0 || !p.deterministic,
-                "pipeline with max_staleness > 0 is timing-dependent; opt in \
-                 explicitly with deterministic: false (PipelineConfig::bounded_staleness)"
-            );
-        }
         let system = mrsch.system().clone();
         let encoder = mrsch.encoder_ref().clone();
         let master = mix_seed(mrsch.master_seed(), 0x5ce7a710);
@@ -225,22 +159,16 @@ impl TrainingEngine {
                 Some(s) => GoalMode::Fixed(s.goal_at(0, phase.episodes)),
                 None => mrsch.goal_mode_ref().clone(),
             };
-            let phase_out = match self.cfg.pipeline {
-                Some(pipe) => self.train_phase_pipelined(
-                    mrsch, phase, &goal_mode, &system, &encoder, master, pipe,
-                ),
-                None => {
-                    self.train_phase_barrier(mrsch, phase, &goal_mode, &system, &encoder, master)
-                }
-            };
-            outcome.phases.push(phase_out);
+            outcome
+                .phases
+                .push(self.train_phase(mrsch, phase, &goal_mode, &system, &encoder, master));
         }
         outcome
     }
 
-    /// The classic round-barrier loop: roll out a round, absorb it, train,
+    /// One phase of the round loop: roll out a round, absorb it, train,
     /// repeat. Deterministic for any worker count.
-    fn train_phase_barrier(
+    fn train_phase(
         &self,
         mrsch: &mut Mrsch,
         phase: &mrsch_workload::scenario::CurriculumPhase,
@@ -260,11 +188,11 @@ impl TrainingEngine {
             let count = self.cfg.round_size.max(1).min(phase.episodes - done);
             let base_eps = mrsch.agent().episodes();
             let dfp_cfg = mrsch.agent().config().clone();
-            // One frozen snapshot per round, shared by every worker
-            // via `Arc` — workers read the same weights through the
-            // cache-free inference forward pass, so no per-worker
-            // network clone exists.
-            let snapshot = Arc::new(mrsch.agent().snapshot());
+            // One frozen snapshot per round, borrowed by every worker —
+            // workers read the same weights through the cache-free
+            // inference forward pass, so no per-worker network clone
+            // exists.
+            let snapshot = mrsch.agent().snapshot();
             // Materialize the round: specs from the scenario (keyed
             // by within-phase index, so a phase's episode stream is
             // independent of what preceded it), ε and RNG seeds from
@@ -277,8 +205,15 @@ impl TrainingEngine {
                     goal: episode_goal(phase, done + k),
                 })
                 .collect();
-            let results =
-                run_rollouts(self.cfg.workers, &snapshot, encoder, goal_mode, system, &episodes);
+            // Roll the round out across the workers; results come back
+            // in episode order regardless of scheduling. The per-worker
+            // state is just a reusable simulator.
+            let results = mrsim::striped_map(
+                self.cfg.workers,
+                count,
+                || None,
+                |sim, k| rollout_episode(&snapshot, encoder, goal_mode, system, sim, &episodes[k]),
+            );
             for (exps, report) in results {
                 mrsch.agent_mut().absorb_episode(exps);
                 phase_out.reports.push(report);
@@ -298,179 +233,6 @@ impl TrainingEngine {
         phase_out.episodes = done;
         phase_out
     }
-
-    /// The pipelined loop: workers claim global episode indices and roll
-    /// them out against the freshest *published* snapshot within the
-    /// staleness window, pushing results into a bounded in-order channel;
-    /// the learner absorbs each round in episode order, trains, and
-    /// publishes the next snapshot without ever stopping the workers.
-    ///
-    /// Round-`r` episodes wait until a snapshot version `>= r -
-    /// max_staleness` is published and then use `min(published, r)` — at
-    /// staleness 0 that is *exactly* version `r`, and since the learner
-    /// cannot finish round `r` before every round-`r` episode is absorbed,
-    /// `published` can never exceed `r` while one is pending. The lockstep
-    /// path is therefore bit-identical to the barrier loop, which
-    /// `pipelined_lockstep_is_bit_identical_to_barrier` pins.
-    #[allow(clippy::too_many_arguments)]
-    fn train_phase_pipelined(
-        &self,
-        mrsch: &mut Mrsch,
-        phase: &mrsch_workload::scenario::CurriculumPhase,
-        goal_mode: &GoalMode,
-        system: &SystemConfig,
-        encoder: &StateEncoder,
-        master: u64,
-        pipe: PipelineConfig,
-    ) -> PhaseOutcome {
-        let total = phase.episodes;
-        let mut phase_out = PhaseOutcome {
-            name: phase.scenario.name.clone(),
-            episodes: total,
-            round_losses: Vec::new(),
-            reports: Vec::new(),
-        };
-        if total == 0 {
-            return phase_out;
-        }
-        let round_size = self.cfg.round_size.max(1);
-        let workers = self.cfg.workers.max(1);
-        let staleness = pipe.max_staleness;
-        let num_rounds = total.div_ceil(round_size);
-        // Global episode bookkeeping is captured once up front — the
-        // barrier loop re-reads `agent.episodes()` each round, but that
-        // counter only ever advances by the absorbed episode count, so
-        // `eps0 + k` is the same value it would compute.
-        let eps0 = mrsch.agent().episodes();
-        let dfp_cfg = mrsch.agent().config().clone();
-
-        // slots[v] holds snapshot version v: slot 0 is the pre-phase
-        // snapshot, slot v the weights after training rounds 0..v. Write
-        // once (learner), read many (workers) — no lock on the read path.
-        let slots: Vec<OnceLock<Arc<PolicySnapshot>>> =
-            (0..num_rounds).map(|_| OnceLock::new()).collect();
-        slots[0]
-            .set(Arc::new(mrsch.agent().snapshot()))
-            .unwrap_or_else(|_| unreachable!("slot 0 set exactly once"));
-
-        // Claims are gated on the staleness window, so at most
-        // (staleness + 2) rounds of results are ever in flight — the
-        // channel bound below can only stall a worker that is already
-        // outside the window.
-        let cap = (staleness + 2) * round_size;
-        let shared = Mutex::new(PipeShared { published: 0, stop: false, buf: BTreeMap::new() });
-        let cv = Condvar::new();
-        let next_episode = AtomicUsize::new(0);
-
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                let slots = &slots;
-                let shared = &shared;
-                let cv = &cv;
-                let next_episode = &next_episode;
-                let dfp_cfg = &dfp_cfg;
-                scope.spawn(move || {
-                    let mut sim: Option<Simulator> = None;
-                    loop {
-                        let k = next_episode.fetch_add(1, Ordering::SeqCst);
-                        if k >= total {
-                            break;
-                        }
-                        let round = k / round_size;
-                        let need = round.saturating_sub(staleness);
-                        let version = {
-                            let mut st = shared.lock().expect("pipeline lock");
-                            while st.published < need && !st.stop {
-                                st = cv.wait(st).expect("pipeline lock");
-                            }
-                            if st.stop {
-                                break;
-                            }
-                            st.published.min(round)
-                        };
-                        let snap =
-                            Arc::clone(slots[version].get().expect("published snapshot is set"));
-                        let task = RolloutTask {
-                            spec: phase.scenario.materialize(system, k as u64),
-                            epsilon: dfp_cfg.epsilon_at(eps0 + k as u64),
-                            seed: mix_seed(master, eps0 + k as u64),
-                            goal: episode_goal(phase, k),
-                        };
-                        let result =
-                            rollout_episode(&snap, encoder, goal_mode, system, &mut sim, &task);
-                        let mut st = shared.lock().expect("pipeline lock");
-                        while st.buf.len() >= cap && !st.stop {
-                            st = cv.wait(st).expect("pipeline lock");
-                        }
-                        if st.stop {
-                            // The learner is done with this phase; the
-                            // in-flight result is never absorbed.
-                            break;
-                        }
-                        st.buf.insert(k, result);
-                        cv.notify_all();
-                    }
-                });
-            }
-
-            // The learner runs on the scope's own thread: absorb each
-            // round in episode order, train, publish the next snapshot.
-            let mut done = 0;
-            for round in 0..num_rounds {
-                let count = round_size.min(total - done);
-                for i in 0..count {
-                    let idx = done + i;
-                    let (exps, report) = {
-                        let mut st = shared.lock().expect("pipeline lock");
-                        loop {
-                            if let Some(r) = st.buf.remove(&idx) {
-                                cv.notify_all();
-                                break r;
-                            }
-                            st = cv.wait(st).expect("pipeline lock");
-                        }
-                    };
-                    mrsch.agent_mut().absorb_episode(exps);
-                    phase_out.reports.push(report);
-                }
-                for _ in 0..count * self.cfg.batches_per_episode {
-                    mrsch.agent_mut().train_batch();
-                }
-                phase_out
-                    .round_losses
-                    .push(mrsch.agent_mut().eval_loss(256).unwrap_or(f32::NAN));
-                done += count;
-                if done >= total || phase.plateau_reached(&phase_out.round_losses) {
-                    let mut st = shared.lock().expect("pipeline lock");
-                    st.stop = true;
-                    cv.notify_all();
-                    break;
-                }
-                let version = round + 1;
-                slots[version]
-                    .set(Arc::new(mrsch.agent().snapshot()))
-                    .unwrap_or_else(|_| unreachable!("each snapshot published exactly once"));
-                let mut st = shared.lock().expect("pipeline lock");
-                st.published = version;
-                cv.notify_all();
-            }
-            phase_out.episodes = done;
-        });
-        phase_out
-    }
-}
-
-/// Shared learner/worker state for the pipelined loop. One mutex (the
-/// critical sections are microseconds against millisecond episodes) and
-/// one condvar: waiters re-check their own predicate on every change.
-struct PipeShared {
-    /// Highest published snapshot version; `slots[0..=published]` are set.
-    published: usize,
-    /// Set when the phase is over (budget or plateau): workers drain out.
-    stop: bool,
-    /// Completed episodes keyed by global index — the bounded in-order
-    /// channel between workers and learner.
-    buf: BTreeMap<usize, (Vec<Experience>, SimReport)>,
 }
 
 /// One episode's inputs: everything a worker needs, nothing shared.
@@ -495,64 +257,6 @@ fn episode_goal(
         }
         _ => None,
     }
-}
-
-/// Roll out a round of episodes across `workers` threads and return the
-/// results **in episode order** regardless of scheduling. All workers
-/// read the *same* frozen snapshot through the `Arc` — the per-worker
-/// state is just a reusable simulator and a per-episode RNG.
-fn run_rollouts(
-    workers: usize,
-    snapshot: &Arc<PolicySnapshot>,
-    encoder: &StateEncoder,
-    goal_mode: &GoalMode,
-    system: &SystemConfig,
-    episodes: &[RolloutTask],
-) -> Vec<(Vec<Experience>, SimReport)> {
-    let n = episodes.len();
-    let workers = workers.clamp(1, n.max(1));
-    if workers == 1 {
-        let mut sim: Option<Simulator> = None;
-        return episodes
-            .iter()
-            .map(|t| rollout_episode(snapshot, encoder, goal_mode, system, &mut sim, t))
-            .collect();
-    }
-    let mut results: Vec<Option<(Vec<Experience>, SimReport)>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let snap = Arc::clone(snapshot);
-                scope.spawn(move || {
-                    let mut sim: Option<Simulator> = None;
-                    let mut out = Vec::new();
-                    let mut k = w;
-                    while k < n {
-                        out.push((
-                            k,
-                            rollout_episode(
-                                &snap,
-                                encoder,
-                                goal_mode,
-                                system,
-                                &mut sim,
-                                &episodes[k],
-                            ),
-                        ));
-                        k += workers;
-                    }
-                    out
-                })
-            })
-            .collect();
-        for h in handles {
-            for (k, r) in h.join().expect("rollout worker panicked") {
-                results[k] = Some(r);
-            }
-        }
-    });
-    results.into_iter().map(|r| r.expect("every episode rolled out")).collect()
 }
 
 /// Roll out one episode under a shared frozen snapshot, reusing the
@@ -739,92 +443,6 @@ mod tests {
             o1.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
             o3.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
         );
-    }
-
-    #[test]
-    fn pipelined_lockstep_is_bit_identical_to_barrier() {
-        // The ISSUE-level contract: pipelined mode at max_staleness = 0
-        // reduces *exactly* to the barrier loop — weights, per-episode
-        // SimReports, and round losses all bit-identical — for 1, 2, and
-        // 4 workers.
-        let curriculum = tiny_curriculum(3);
-        let run = |workers: usize, pipeline: Option<PipelineConfig>| {
-            let mut trainer = TrainerConfig::default()
-                .workers(workers)
-                .round_size(2)
-                .batches_per_episode(4);
-            trainer.pipeline = pipeline;
-            let mut mrsch = tiny_mrsch(11, trainer.clone());
-            let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
-            let ckpt = mrsch.agent_mut().network_mut().save_checkpoint();
-            (outcome, ckpt)
-        };
-        let (barrier_out, barrier_ckpt) = run(1, None);
-        for workers in [1, 2, 4] {
-            let (pipe_out, pipe_ckpt) = run(workers, Some(PipelineConfig::lockstep()));
-            assert_eq!(
-                barrier_ckpt, pipe_ckpt,
-                "lockstep pipeline weights must be bit-identical to barrier ({workers} workers)"
-            );
-            for (a, b) in barrier_out.reports().zip(pipe_out.reports()) {
-                assert_eq!(a, b, "per-episode reports must match ({workers} workers)");
-            }
-            assert_eq!(
-                barrier_out.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
-                pipe_out.phases.iter().map(|p| &p.round_losses).collect::<Vec<_>>(),
-                "round losses must match ({workers} workers)"
-            );
-            assert_eq!(barrier_out.total_episodes(), pipe_out.total_episodes());
-        }
-    }
-
-    #[test]
-    fn pipelined_bounded_staleness_trains_the_full_budget() {
-        // Staleness > 0 is timing-dependent in *which* snapshot a rollout
-        // sees, but never in how much work runs: every budgeted episode
-        // is absorbed, in order, with the full gradient-step cadence.
-        let trainer = TrainerConfig::default()
-            .workers(2)
-            .round_size(2)
-            .batches_per_episode(4)
-            .pipeline(PipelineConfig::bounded_staleness(2));
-        let mut mrsch = tiny_mrsch(13, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &tiny_curriculum(4));
-        assert_eq!(outcome.total_episodes(), 12);
-        assert_eq!(mrsch.agent().episodes(), 12);
-        assert_eq!(outcome.reports().count(), 12);
-        assert!(mrsch.agent().train_steps() > 0);
-        assert!(outcome.final_loss().is_some());
-    }
-
-    #[test]
-    fn pipelined_lockstep_respects_plateau_rule() {
-        let trainer = TrainerConfig::default()
-            .round_size(1)
-            .batches_per_episode(4)
-            .pipeline(PipelineConfig::lockstep());
-        let budget = 6;
-        let phase = CurriculumPhase::new(tiny_scenario(12, 5), budget)
-            .advance_on_plateau(2, f32::INFINITY);
-        let curriculum = Curriculum::new().phase(phase);
-        let mut mrsch = tiny_mrsch(7, trainer.clone());
-        let outcome = TrainingEngine::new(trainer).train(&mut mrsch, &curriculum);
-        assert!(
-            outcome.phases[0].episodes < budget,
-            "pipelined phase must end early on plateau, ran {}",
-            outcome.phases[0].episodes
-        );
-        assert_eq!(outcome.phases[0].reports.len(), outcome.phases[0].episodes);
-        assert_eq!(mrsch.agent().episodes() as usize, outcome.phases[0].episodes);
-    }
-
-    #[test]
-    #[should_panic(expected = "deterministic: false")]
-    fn staleness_requires_explicit_nondeterminism_opt_in() {
-        let trainer = TrainerConfig::default()
-            .pipeline(PipelineConfig { max_staleness: 2, deterministic: true });
-        let mut mrsch = tiny_mrsch(3, trainer.clone());
-        TrainingEngine::new(trainer).train(&mut mrsch, &tiny_curriculum(1));
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod goal;
 pub mod training;
 
 pub use agent::{Mode, MrschPolicy, TrainedMrschPolicy};
-pub use engine::{EngineOutcome, PhaseOutcome, PipelineConfig, TrainerConfig, TrainingEngine};
+pub use engine::{EngineOutcome, PhaseOutcome, TrainerConfig, TrainingEngine};
 pub use explain::{Explainer, Explanation};
 pub use encoder::StateEncoder;
 pub use goal::GoalMode;
@@ -63,7 +63,7 @@ pub use training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
 pub mod prelude {
     pub use crate::agent::{Mode, MrschPolicy, TrainedMrschPolicy};
     pub use crate::encoder::StateEncoder;
-    pub use crate::engine::{EngineOutcome, PhaseOutcome, PipelineConfig, TrainerConfig, TrainingEngine};
+    pub use crate::engine::{EngineOutcome, PhaseOutcome, TrainerConfig, TrainingEngine};
     pub use crate::goal::GoalMode;
     pub use crate::training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
     pub use mrsch_dfp::{DfpAgent, DfpConfig, StateModuleKind};

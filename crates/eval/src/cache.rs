@@ -28,12 +28,7 @@
 //! before hashing so they cannot fragment the cache:
 //! * `TrainerConfig::workers` — worker count is a wall-clock knob
 //!   (pinned bit-identical by the engine's tests);
-//! * a lockstep (`max_staleness = 0`) pipeline — pinned bit-identical to
-//!   the barrier loop;
 //! * an MRSch display tag — naming only.
-//!
-//! Bounded-staleness training (`max_staleness > 0`) is timing-dependent,
-//! so those results are never cached at all ([`is_cacheable`]).
 //!
 //! # Entry format
 //!
@@ -42,9 +37,8 @@
 //! is the full 128-bit key (so a hash-named file renamed by hand is
 //! still detected) followed by the policy's `mrsch_nn::checkpoint` blob
 //! — which carries its own magic and parameter-shape fingerprint.
-//! Entries written before the shared codec (the unframed `MRPC1\n`
-//! header format) are still read. Any validation failure is treated as
-//! a miss: the cell retrains and overwrites the entry.
+//! Any validation failure is treated as a miss: the cell retrains and
+//! overwrites the entry.
 
 use mrsch::prelude::*;
 use std::fmt::Debug;
@@ -54,14 +48,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::registry::PolicySpec;
 
-/// Magic prefix of a legacy (pre-codec, unframed) cache entry file.
-const LEGACY_ENTRY_MAGIC: &[u8; 6] = b"MRPC1\n";
-
-/// Frame magic of the current cache entry format.
+/// Frame magic of the cache entry format.
 const ENTRY_MAGIC: [u8; 4] = *b"MRPC";
 
-/// Entry format version. v1 was the unframed `MRPC1\n` header; v2 is
-/// the first codec-framed version, so the frame versioning starts at 2.
+/// Entry format version (framed entries start at 2).
 const ENTRY_VERSION: u16 = 2;
 
 /// Schema tag folded into every key: bump to invalidate all entries
@@ -138,13 +128,6 @@ impl Default for KeyHasher {
     }
 }
 
-/// Can results trained under this config be cached at all? Bounded
-/// staleness (`max_staleness > 0`) is timing-dependent — two runs of the
-/// same key may produce different weights — so it is never cached.
-pub fn is_cacheable(trainer: &TrainerConfig) -> bool {
-    trainer.pipeline.is_none_or(|p| p.max_staleness == 0)
-}
-
 /// The content key of one trained policy. Covers everything the trained
 /// weights depend on; normalizes everything they provably don't (see the
 /// module docs).
@@ -163,9 +146,6 @@ pub fn cache_key(
     }
     let mut trainer = trainer.clone();
     trainer.workers = 1;
-    if trainer.pipeline.is_some_and(|p| p.max_staleness == 0) {
-        trainer.pipeline = None;
-    }
     let mut h = KeyHasher::new();
     h.field("spec", &spec);
     h.field("system", system);
@@ -216,20 +196,6 @@ impl PolicyCache {
     /// [`PolicyCache::note_miss`] once it knows it.
     pub fn read(&self, key: CacheKey) -> Option<Vec<u8>> {
         let data = std::fs::read(self.path_for(key)).ok()?;
-        // Entries written before the shared codec: unframed
-        // `MRPC1\n` + 16-byte LE key + payload, no checksum.
-        if data.starts_with(LEGACY_ENTRY_MAGIC) {
-            let header_len = LEGACY_ENTRY_MAGIC.len() + 16;
-            if data.len() < header_len {
-                return None;
-            }
-            let mut stored = [0u8; 16];
-            stored.copy_from_slice(&data[LEGACY_ENTRY_MAGIC.len()..header_len]);
-            if u128::from_le_bytes(stored) != key.0 {
-                return None;
-            }
-            return Some(data[header_len..].to_vec());
-        }
         let (_version, payload) = mrsch_snapshot::unframe(ENTRY_MAGIC, &data).ok()?;
         let mut r = mrsch_snapshot::Reader::new(payload);
         let lo = r.get_u64().ok()?;
@@ -378,23 +344,11 @@ mod tests {
         let base = key_with(|_, _, _, _, _, _| {});
         // Worker count is proven bit-identical by the engine.
         assert_eq!(base, key_with(|_, _, _, _, _, tr| tr.workers = 4));
-        // Lockstep pipelining is proven bit-identical to barrier mode.
-        assert_eq!(
-            base,
-            key_with(|_, _, _, _, _, tr| tr.pipeline = Some(PipelineConfig::lockstep()))
-        );
         // An MRSch display tag renames, it doesn't retrain.
         assert_eq!(
             base,
             key_with(|spec, _, _, _, _, _| *spec = PolicySpec::mrsch_tagged("renamed"))
         );
-        // Bounded staleness is NOT cacheable at all.
-        let trainer = TrainerConfig::default().pipeline(PipelineConfig::bounded_staleness(2));
-        assert!(!is_cacheable(&trainer));
-        assert!(is_cacheable(&TrainerConfig::default()));
-        assert!(is_cacheable(
-            &TrainerConfig::default().pipeline(PipelineConfig::lockstep())
-        ));
     }
 
     #[test]
@@ -409,30 +363,11 @@ mod tests {
         let other = CacheKey(key.0 ^ 1);
         std::fs::copy(cache.path_for(key), cache.path_for(other)).unwrap();
         assert!(cache.read(other).is_none(), "renamed entry must be a miss");
-        // A truncated legacy entry is rejected.
-        std::fs::write(cache.path_for(key), b"MRPC1\nshort").unwrap();
-        assert!(cache.read(key).is_none(), "corrupt entry must be a miss");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 
-    /// An entry in the pre-codec on-disk layout (the exact `MRPC1\n`
-    /// byte format, built by hand as a migration fixture) still reads.
-    #[test]
-    fn legacy_unframed_entry_still_reads() {
-        let cache = temp_cache("legacy");
-        let key = CacheKey(0xfeed_beef_0bad_cafe_1122_3344_5566_7788);
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(b"MRPC1\n");
-        legacy.extend_from_slice(&key.0.to_le_bytes());
-        legacy.extend_from_slice(b"legacy-checkpoint-payload");
-        std::fs::create_dir_all(cache.dir()).unwrap();
-        std::fs::write(cache.path_for(key), legacy).unwrap();
-        assert_eq!(cache.read(key).as_deref(), Some(&b"legacy-checkpoint-payload"[..]));
-        let _ = std::fs::remove_dir_all(cache.dir());
-    }
-
-    /// The framed format detects payload corruption the legacy header
-    /// format could not: any flipped byte is a miss, not a bad load.
+    /// Any flipped byte is a miss, not a bad load — and so is an
+    /// unframed `MRPC1\n` entry, which carries no checksum to verify.
     #[test]
     fn corrupted_framed_entry_is_a_miss() {
         let cache = temp_cache("corrupt");
@@ -444,6 +379,11 @@ mod tests {
         data[last] ^= 0x80;
         std::fs::write(&path, data).unwrap();
         assert!(cache.read(key).is_none(), "checksum catches the flip");
+        let mut unframed = b"MRPC1\n".to_vec();
+        unframed.extend_from_slice(&key.0.to_le_bytes());
+        unframed.extend_from_slice(b"precious-weights");
+        std::fs::write(&path, unframed).unwrap();
+        assert!(cache.read(key).is_none(), "an unframed entry must be a miss");
         let _ = std::fs::remove_dir_all(cache.dir());
     }
 }

@@ -205,40 +205,14 @@ impl EvalPlan {
             std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1)
         } else {
             self.workers
-        }
-        .clamp(1, n);
-        let mut slots: Vec<Option<EvalCell>> = (0..n).map(|_| None).collect();
-        if workers == 1 {
-            let mut cache = HashMap::new();
-            let mut sims = HashMap::new();
-            for (idx, slot) in slots.iter_mut().enumerate() {
-                *slot = Some(self.run_cell(idx, ns, nk, &mut cache, &mut sims));
-            }
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|w| {
-                        scope.spawn(move || {
-                            let mut cache = HashMap::new();
-                            let mut sims = HashMap::new();
-                            let mut out = Vec::new();
-                            let mut idx = w;
-                            while idx < n {
-                                out.push((idx, self.run_cell(idx, ns, nk, &mut cache, &mut sims)));
-                                idx += workers;
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    for (idx, cell) in h.join().expect("grid worker panicked") {
-                        slots[idx] = Some(cell);
-                    }
-                }
-            });
-        }
-        EvalGrid { cells: slots.into_iter().map(|c| c.expect("every cell ran")).collect() }
+        };
+        let cells = mrsim::striped_map(
+            workers,
+            n,
+            || (HashMap::new(), HashMap::new()),
+            |(cache, sims), idx| self.run_cell(idx, ns, nk, cache, sims),
+        );
+        EvalGrid { cells }
     }
 
     /// Run one grid cell. `cache` holds this worker's reusable

@@ -50,15 +50,12 @@ pub mod cache;
 pub mod harness;
 pub mod registry;
 pub mod scenario_registry;
-pub mod scenarios;
 pub mod table;
 
-pub use cache::{cache_key, is_cacheable, CacheKey, KeyHasher, PolicyCache};
+pub use cache::{cache_key, CacheKey, KeyHasher, PolicyCache};
 pub use harness::{
     default_training_curriculum, parse_seed_spec, Aggregate, AggregateRow, EvalCell, EvalGrid,
     EvalPlan,
 };
 pub use registry::{trained_mrsch, BuildContext, MrschSpec, PolicySpec};
 pub use scenario_registry::{build_scenarios, ScenarioParseError, ScenarioSpec};
-#[allow(deprecated)]
-pub use scenarios::{named_scenario, named_scenarios, scenario_names};

@@ -189,8 +189,8 @@ impl PolicySpec {
     /// cache: a hit rebuilds the (untrained) policy from the same context
     /// recipe and restores the cached weights instead of training; a miss
     /// trains and stores the checkpoint. Falls back to a plain
-    /// [`PolicySpec::build`] for non-learnable specs, untrained contexts,
-    /// and non-cacheable trainer configs (bounded staleness).
+    /// [`PolicySpec::build`] for non-learnable specs and untrained
+    /// contexts.
     ///
     /// Bit-identity of hit vs miss is the cache's core contract:
     /// evaluation acts greedily (no RNG draws), so restored weights replay
@@ -201,11 +201,7 @@ impl PolicySpec {
         cache: Option<&crate::cache::PolicyCache>,
     ) -> Box<dyn Policy + Send> {
         let (cache, curriculum) = match (cache, ctx.train) {
-            (Some(cache), Some(cur))
-                if self.is_learnable() && crate::cache::is_cacheable(&ctx.trainer) =>
-            {
-                (cache, cur)
-            }
+            (Some(cache), Some(cur)) if self.is_learnable() => (cache, cur),
             _ => return self.build(ctx),
         };
         let key = crate::cache::cache_key(

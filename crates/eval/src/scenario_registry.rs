@@ -479,6 +479,27 @@ mod tests {
         assert!(matches!(ScenarioSpec::parse("  "), Err(ScenarioParseError::Empty)));
     }
 
+    fn build(spec: &str) -> Scenario {
+        let source = JobSource::Theta(ThetaConfig { machine_nodes: 32, ..ThetaConfig::scaled(30) });
+        ScenarioSpec::parse(spec).unwrap().build(source, WorkloadSpec::s1(), SimParams::new(4, true), 7)
+    }
+
+    #[test]
+    fn drain_scenario_emits_capacity_events() {
+        let ep = build("drain").materialize(&SystemConfig::two_resource(32, 12), 0);
+        assert!(ep
+            .events
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::CapacityChange { .. })));
+    }
+
+    #[test]
+    fn overruns_switch_on_walltime_enforcement() {
+        let s = build("overrun_heavy");
+        assert!(s.params.enforce_walltime);
+        assert_eq!(s.name, "overrun-heavy", "underscores normalize to hyphens");
+    }
+
     #[test]
     fn all_expands_to_the_full_registry() {
         let all = ScenarioSpec::parse_list("all").unwrap();

@@ -6,15 +6,16 @@
 //! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
 //! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
 //! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8 --delay-us 2000
+//! mrsch_cli fig fig5
 //! ```
-use mrsch_experiments::cli;
+use mrsch_experiments::{cli, figures};
 
 fn usage() -> ! {
     eprintln!(
         "usage: mrsch_cli [simulate] --swf FILE [--workload S1..S10] [--nodes N] [--bb B] \
          [--policy fcfs|sjf|ljf|ga|mrsch] [--window W] [--seed S] \
          [--train-episodes K] [--model OUT.ckpt] [--load IN.ckpt] \
-         [--workers N] [--pipeline [--max-staleness K]] \
+         [--workers N] \
          [--snapshot-every N --snapshot-dir DIR]\n\
          \n\
          mrsch_cli resume --from DIR/shard-0000.snap [--policy fcfs|sjf|ljf|ga] [--seed S]\n\
@@ -26,7 +27,10 @@ fn usage() -> ! {
          [--policy-cache DIR [--require-warm-cache]] [--csv GRID.csv]\n\
          \n\
          mrsch_cli serve [--mode stdin|tcp|loadtest] [--addr HOST:PORT] [--policy mrsch] \
-         [--batch N] [--delay-us T] [--workers N] [--requests N] [--qps Q] (serve --help for all)"
+         [--batch N] [--delay-us T] [--workers N] [--requests N] [--qps Q] (serve --help for all)\n\
+         \n\
+         mrsch_cli fig {}",
+        figures::FIGURES.iter().map(|(name, _)| *name).collect::<Vec<_>>().join("|")
     );
     std::process::exit(2);
 }
@@ -44,6 +48,12 @@ fn main() {
         "resume" => cli::resume_main(&args[1..]),
         "serve" => mrsch_serve::cli::serve_main(&args[1..]).map(|s| format!("{s}\n")),
         "simulate" => cli::main_with_args(&args[1..]),
+        "fig" => match args.get(1) {
+            Some(name) => figures::run(name, &args[2..])
+                .map(|()| String::new())
+                .map_err(|e| e.to_string()),
+            None => usage(),
+        },
         _ => cli::main_with_args(&args),
     };
     match result {

@@ -6,7 +6,6 @@
 //!           --policy fcfs|sjf|ljf|ga|mrsch [--window 10] [--seed 1] \
 //!           [--train-episodes 4] [--model out.ckpt | --load model.ckpt] \
 //!           [--curriculum clean|harden] [--workers N] \
-//!           [--pipeline [--max-staleness K]] \
 //!           [--cancel-frac F] [--overrun-frac F] [--drain-frac F] \
 //!           [--replay-swf-cancels | --replay-swf-cancels-faithful] \
 //!           [--snapshot-every N --snapshot-dir DIR]
@@ -36,9 +35,7 @@
 //! through the clean → cancel-heavy → drain-heavy scenario curriculum
 //! (episodes per phase = `--train-episodes`) with `--workers` parallel
 //! rollout threads; worker count never changes the result, only the
-//! wall-clock. `--pipeline` overlaps rollout and learning
-//! (lockstep/bit-identical by default; `--max-staleness K` with `K > 0`
-//! opts into bounded-staleness nondeterminism for more throughput).
+//! wall-clock.
 //! `--policy-cache DIR` memoizes trained policies content-addressed by
 //! their full training configuration, so repeated grids skip training;
 //! `--require-warm-cache` fails the run if any cell had to retrain.
@@ -125,12 +122,6 @@ pub struct CliArgs {
     pub curriculum: Option<String>,
     /// Parallel rollout worker threads for curriculum training.
     pub workers: usize,
-    /// Pipeline rollout against published snapshots instead of barrier
-    /// round-synchronization (lockstep unless `max_staleness > 0`).
-    pub pipeline: bool,
-    /// Staleness bound for pipelined training; `> 0` explicitly opts
-    /// into nondeterministic (but bounded-lag) learning.
-    pub max_staleness: usize,
     /// Write a checkpoint every N event batches (baseline policies).
     pub snapshot_every: Option<u64>,
     /// Directory receiving the periodic `shard-0000.snap` checkpoint.
@@ -173,8 +164,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         replay_swf_cancels_faithful: false,
         curriculum: None,
         workers: 1,
-        pipeline: false,
-        max_staleness: 0,
         snapshot_every: None,
         snapshot_dir: None,
     };
@@ -254,12 +243,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 out.workers =
                     value("--workers")?.parse().map_err(|_| "--workers: not a number")?
             }
-            "--pipeline" => out.pipeline = true,
-            "--max-staleness" => {
-                out.max_staleness = value("--max-staleness")?
-                    .parse()
-                    .map_err(|_| "--max-staleness: not a number")?
-            }
             "--snapshot-every" => {
                 out.snapshot_every = Some(
                     value("--snapshot-every")?
@@ -270,9 +253,6 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
             "--snapshot-dir" => out.snapshot_dir = Some(value("--snapshot-dir")?),
             other => return Err(format!("unknown flag '{other}'")),
         }
-    }
-    if out.max_staleness > 0 && !out.pipeline {
-        return Err("--max-staleness requires --pipeline".into());
     }
     if out.snapshot_every.is_some() != out.snapshot_dir.is_some() {
         return Err("--snapshot-every and --snapshot-dir must be given together".into());
@@ -451,17 +431,9 @@ pub fn run_on_trace(args: &CliArgs, trace: &[TraceJob]) -> Result<SimReport, Str
         CliPolicy::Ljf => run_baseline(&mut ListPolicy::new(ListOrder::LongestFirst))?,
         CliPolicy::Ga => run_baseline(&mut GaPolicy::with_seed(args.seed))?,
         CliPolicy::Mrsch => {
-            let mut trainer = TrainerConfig::default().workers(args.workers);
-            if args.pipeline {
-                trainer = trainer.pipeline(if args.max_staleness > 0 {
-                    PipelineConfig::bounded_staleness(args.max_staleness)
-                } else {
-                    PipelineConfig::lockstep()
-                });
-            }
             let mut agent = MrschBuilder::new(system.clone(), params)
                 .seed(args.seed)
-                .trainer(trainer)
+                .trainer(TrainerConfig::default().workers(args.workers))
                 .build();
             if let Some(path) = &args.model_in {
                 let data = std::fs::read(path).map_err(|e| format!("--load: {e}"))?;
@@ -1019,38 +991,6 @@ mod tests {
             assert_eq!(r.end, r.start + trace[r.id].runtime);
         }
         assert!(report.all_jobs_accounted(30));
-    }
-
-    #[test]
-    fn parses_pipeline_flags() {
-        let a = parse_args(&args(&[
-            "--swf", "t.swf", "--workers", "4", "--pipeline", "--max-staleness", "2",
-        ]))
-        .unwrap();
-        assert!(a.pipeline);
-        assert_eq!(a.max_staleness, 2);
-        let lockstep = parse_args(&args(&["--swf", "t.swf", "--pipeline"])).unwrap();
-        assert!(lockstep.pipeline);
-        assert_eq!(lockstep.max_staleness, 0, "--pipeline alone is lockstep");
-        let err = parse_args(&args(&["--swf", "t.swf", "--max-staleness", "2"])).unwrap_err();
-        assert!(err.contains("--pipeline"), "{err}");
-    }
-
-    #[test]
-    fn pipelined_cli_run_is_bit_identical_to_barrier() {
-        let trace = ThetaConfig { machine_nodes: 16, ..ThetaConfig::scaled(24) }.generate(7);
-        let run = |extra: &[&str]| {
-            let mut v = vec![
-                "--swf", "unused.swf", "--workload", "S1", "--nodes", "16", "--bb", "8",
-                "--policy", "mrsch", "--window", "4", "--train-episodes", "1",
-                "--curriculum", "clean", "--workers", "2",
-            ];
-            v.extend_from_slice(extra);
-            run_on_trace(&parse_args(&args(&v)).unwrap(), &trace).unwrap()
-        };
-        let barrier = run(&[]);
-        let pipelined = run(&["--pipeline"]);
-        assert_eq!(barrier.records, pipelined.records, "lockstep pipeline is a pure wall-clock knob");
     }
 
     #[test]

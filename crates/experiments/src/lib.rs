@@ -2,9 +2,8 @@
 //!
 //! Every module exposes a `run(scale, seed)` function returning plain data
 //! structures plus a `print_*` helper that emits the same rows/series the
-//! paper plots. Each figure also has a binary target (`cargo run -p
-//! mrsch-experiments --release --bin figN`) and a Criterion bench in
-//! `crates/bench`.
+//! paper plots. [`figures`] maps each artifact's name to its full-scale
+//! driver; `mrsch_cli fig <name>` runs one.
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -20,7 +19,7 @@
 //! | [`disruption_curriculum`] | clean-trained vs disruption-hardened MRSch on a disrupted trace |
 //!
 //! The [`scale`] module defines the experiment sizes: `quick()` for tests
-//! and benches, `full()` for the standalone binaries. All runs are
+//! (seconds), `full()` for `mrsch_cli fig` (minutes). All runs are
 //! deterministic in the provided seed.
 //!
 //! Policy construction and training are **not** done here: the
@@ -43,6 +42,7 @@ pub mod fig6;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
+pub mod figures;
 pub mod kiviat;
 pub mod multi_seed;
 pub mod overhead;

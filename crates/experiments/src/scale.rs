@@ -35,7 +35,7 @@ pub struct ExpScale {
 }
 
 impl ExpScale {
-    /// Small scale for unit tests and Criterion benches (seconds).
+    /// Small scale for unit tests (seconds).
     ///
     /// Sized for a warm `cargo test -q` under the ROADMAP's ~45 s
     /// budget on a single core: the machine (48×16) keeps the DFP state
@@ -56,7 +56,7 @@ impl ExpScale {
         }
     }
 
-    /// Full scale for the standalone figure binaries (minutes).
+    /// Full scale for `mrsch_cli fig` (minutes).
     pub fn full() -> Self {
         Self {
             nodes: 256,

@@ -1,22 +1,17 @@
 //! Checkpointing: serialize network weights to a compact self-describing
 //! byte format.
 //!
-//! Current checkpoints are `mrsch_snapshot` frames (magic `MRS2`,
-//! version, length framing, trailing FNV checksum) carrying a
-//! parameter-shape fingerprint and a flat little-endian `f32` dump.
-//! Architectures are *not* stored — a checkpoint can only be loaded into
-//! a network with the identical layer structure, which the fingerprint
-//! verifies. Loading sniffs the magic and still accepts the original
-//! unframed `MRS1` blobs (same fingerprint + dump, no checksum), so
-//! checkpoints written before the shared codec existed keep working.
+//! Checkpoints are `mrsch_snapshot` frames (magic `MRS2`, version,
+//! length framing, trailing FNV checksum) carrying a parameter-shape
+//! fingerprint and a flat little-endian `f32` dump. Architectures are
+//! *not* stored — a checkpoint can only be loaded into a network with
+//! the identical layer structure, which the fingerprint verifies.
 
 use crate::net::Sequential;
 use bytes::Bytes;
-use mrsch_snapshot::{frame, sniff_magic, unframe, CodecError, Reader, Writer};
+use mrsch_snapshot::{frame, unframe, CodecError, Reader, Writer};
 
-/// Magic bytes of the legacy (pre-codec, unframed) checkpoint format.
-pub const LEGACY_MAGIC: &[u8; 4] = b"MRS1";
-/// Frame magic of the current checkpoint format.
+/// Frame magic of the checkpoint format.
 pub const MAGIC: [u8; 4] = *b"MRS2";
 /// Newest checkpoint format version this build reads and writes.
 pub const VERSION: u16 = 1;
@@ -24,7 +19,7 @@ pub const VERSION: u16 = 1;
 /// Errors produced when loading a checkpoint.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CheckpointError {
-    /// Data starts with neither [`MAGIC`] nor [`LEGACY_MAGIC`].
+    /// Data does not start with [`MAGIC`].
     BadMagic,
     /// Buffer ended before the declared payload.
     Truncated,
@@ -106,30 +101,15 @@ pub fn save_visitor(
 }
 
 /// Load parameters through a visitor; the target model must have the
-/// identical parameter-shape sequence. Accepts current (`MRS2`-framed)
-/// and legacy (`MRS1` unframed) checkpoints.
+/// identical parameter-shape sequence.
 pub fn load_visitor(
     mut visit: impl FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)),
     data: &[u8],
 ) -> Result<(), CheckpointError> {
-    if sniff_magic(data) == Some(*LEGACY_MAGIC) {
-        return load_params(&mut visit, &data[LEGACY_MAGIC.len()..], false);
-    }
     let (_version, payload) = unframe(MAGIC, data)?;
-    // Framed payloads are length-checked: the dump must end exactly at
-    // the declared count.
-    load_params(&mut visit, payload, true)
-}
-
-/// Decode fingerprint + count + `f32` dump (shared by both formats).
-fn load_params(
-    visit: &mut impl FnMut(&mut dyn FnMut(&mut Matrix, &mut Matrix)),
-    payload: &[u8],
-    exact: bool,
-) -> Result<(), CheckpointError> {
     let mut r = Reader::new(payload);
     let expected = r.get_u64().map_err(|_| CheckpointError::Truncated)?;
-    let actual = shape_fingerprint(visit);
+    let actual = shape_fingerprint(&mut visit);
     if expected != actual {
         return Err(CheckpointError::ShapeMismatch { expected, actual });
     }
@@ -155,10 +135,8 @@ fn load_params(
     if let Some(e) = err {
         return Err(e);
     }
-    if exact {
-        r.expect_end().map_err(CheckpointError::from)?;
-    }
-    Ok(())
+    // The dump must end exactly at the declared count.
+    r.expect_end().map_err(CheckpointError::from)
 }
 
 /// Serialize the network's parameters.
@@ -198,39 +176,12 @@ mod tests {
         assert_eq!(a.forward(&x), b.forward(&x));
     }
 
-    /// A legacy `MRS1` blob (the exact pre-codec byte layout, built by
-    /// hand as a migration fixture) still loads.
-    #[test]
-    fn legacy_mrs1_blob_still_loads() {
-        let mut a = sample_net(1);
-        let mut b = sample_net(2);
-        let mut visit = |f: &mut dyn FnMut(&mut Matrix, &mut Matrix)| {
-            a.visit_params(&mut |p, g| f(p, g))
-        };
-        let fp = shape_fingerprint(&mut visit);
-        let mut count = 0usize;
-        visit(&mut |p, _| count += p.len());
-        let mut legacy = Vec::new();
-        legacy.extend_from_slice(LEGACY_MAGIC);
-        legacy.extend_from_slice(&fp.to_le_bytes());
-        legacy.extend_from_slice(&(count as u64).to_le_bytes());
-        visit(&mut |p, _| {
-            for &v in p.as_slice() {
-                legacy.extend_from_slice(&v.to_bits().to_le_bytes());
-            }
-        });
-        load(&mut b, &legacy).unwrap();
-        let x = Matrix::filled(3, 4, 0.7);
-        assert_eq!(a.forward(&x), b.forward(&x), "legacy blob reproduces the weights");
-    }
-
     #[test]
     fn current_format_is_a_checksummed_frame() {
         let mut a = sample_net(1);
         let ckpt = save(&mut a);
         assert_eq!(&ckpt[..4], &MAGIC, "MRS2-framed");
-        // A flipped weight bit is caught by the frame checksum, which the
-        // legacy format could not detect.
+        // A flipped weight bit is caught by the frame checksum.
         let mut corrupt = ckpt.to_vec();
         let mid = corrupt.len() / 2;
         corrupt[mid] ^= 0x01;
@@ -244,6 +195,12 @@ mod tests {
     fn bad_magic_rejected() {
         let mut net = sample_net(1);
         assert_eq!(load(&mut net, b"nope"), Err(CheckpointError::BadMagic));
+        // An unframed `MRS1` blob (fingerprint + count + dump, no
+        // checksum) is not a checkpoint either.
+        let framed = save(&mut net);
+        let (_version, payload) = unframe(MAGIC, &framed).unwrap();
+        let unframed = [&b"MRS1"[..], payload].concat();
+        assert_eq!(load(&mut net, &unframed), Err(CheckpointError::BadMagic));
     }
 
     #[test]

@@ -58,6 +58,7 @@ pub mod resources;
 pub mod shard;
 pub mod simulator;
 pub mod snapshot;
+pub mod striped;
 pub mod timeline;
 
 pub use event::{
@@ -74,6 +75,7 @@ pub use shard::{
     ShardedSim, SnapshotConfig,
 };
 pub use simulator::{SimParams, Simulator};
+pub use striped::striped_map;
 pub use timeline::Timeline;
 
 /// Simulation time, in whole seconds since the start of the trace.

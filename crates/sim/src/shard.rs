@@ -3,10 +3,9 @@
 //! A million-job campaign rarely models one machine: it is a fleet of
 //! clusters (or one cluster split into independent partitions), each an
 //! independent DES. This module runs such a fleet across threads using
-//! the same striped worker pattern as `mrsch-eval`'s `EvalPlan`: worker
-//! `w` of `k` simulates shards `w, w + k, w + 2k, ...` and results land
-//! in a slot vector indexed by shard, so the returned reports are in
-//! shard order **regardless of worker count or completion timing**. Each
+//! [`striped_map`]: worker `w` of `k` simulates shards `w, w + k,
+//! w + 2k, ...` and the returned reports are in shard order
+//! **regardless of worker count or completion timing**. Each
 //! shard's simulation is single-threaded and bit-deterministic, which
 //! makes the whole fleet deterministic: `workers(1)` and `workers(8)`
 //! produce byte-identical report vectors (the large-trace determinism
@@ -18,6 +17,7 @@ use crate::metrics::SimReport;
 use crate::policy::Policy;
 use crate::resources::SystemConfig;
 use crate::simulator::{SimError, SimParams, Simulator};
+use crate::striped::striped_map;
 use crate::SimTime;
 use std::path::{Path, PathBuf};
 
@@ -109,40 +109,12 @@ impl ShardedSim {
         Q: EventQueue,
         F: Fn(usize) -> Box<dyn Policy + Send> + Sync,
     {
-        let n = self.shards.len();
-        if n == 0 {
-            return Ok(Vec::new());
-        }
-        let workers = self.workers.min(n);
         let snap = self.snapshots.as_ref();
-        if workers == 1 {
-            return (0..n)
-                .map(|i| run_shard::<Q>(&self.shards[i], i, snap, make_policy(i)))
-                .collect();
-        }
-        let mut slots: Vec<Option<Result<SimReport, SimError>>> = (0..n).map(|_| None).collect();
-        let shards = &self.shards;
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    scope.spawn(move || {
-                        let mut out = Vec::new();
-                        let mut idx = w;
-                        while idx < n {
-                            out.push((idx, run_shard::<Q>(&shards[idx], idx, snap, make_policy(idx))));
-                            idx += workers;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            for handle in handles {
-                for (idx, report) in handle.join().expect("shard worker panicked") {
-                    slots[idx] = Some(report);
-                }
-            }
-        });
-        slots.into_iter().map(|slot| slot.expect("every shard simulated")).collect()
+        striped_map(self.workers, self.shards.len(), || (), |(), i| {
+            run_shard::<Q>(&self.shards[i], i, snap, make_policy(i))
+        })
+        .into_iter()
+        .collect()
     }
 }
 

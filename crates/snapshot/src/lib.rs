@@ -433,12 +433,6 @@ pub fn frame(magic: [u8; 4], version: u16, payload: &[u8]) -> Vec<u8> {
     out
 }
 
-/// First four bytes of a blob, if present — the format-sniffing hook
-/// legacy readers use to keep old magics loadable.
-pub fn sniff_magic(buf: &[u8]) -> Option<[u8; 4]> {
-    buf.get(..4).map(|b| b.try_into().expect("4-byte slice"))
-}
-
 /// Validate and open a frame: checks magic, length, and checksum, and
 /// returns `(version, payload)`. Rejects trailing bytes after the frame.
 pub fn unframe(expected_magic: [u8; 4], buf: &[u8]) -> Result<(u16, &[u8]), CodecError> {
@@ -651,12 +645,6 @@ mod tests {
             unframe(*b"TEST", &extended).unwrap_err(),
             CodecError::TrailingBytes { remaining: 1 }
         );
-    }
-
-    #[test]
-    fn sniffing_identifies_magics() {
-        assert_eq!(sniff_magic(b"MRS1rest"), Some(*b"MRS1"));
-        assert_eq!(sniff_magic(b"ab"), None);
     }
 
     #[test]
