@@ -14,8 +14,7 @@
 //! # Hashing
 //!
 //! The vendored serde is a no-op, so there is no generic serializer to
-//! lean on. Instead the key hasher follows the repo's hand-rolled writer
-//! pattern (`mrsch_bench::report`): each component is rendered through
+//! lean on. Instead each component is rendered through
 //! its *derived* `Debug` representation — which recursively covers every
 //! field, so adding a field to any config type automatically changes the
 //! key — and folded, with a field label, into a 128-bit FNV-1a hash.

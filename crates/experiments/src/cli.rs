@@ -46,30 +46,13 @@
 
 use crate::csv;
 use mrsch::prelude::*;
-use mrsch_baselines::heuristics::{ListOrder, ListPolicy};
-use mrsch_baselines::{FcfsPolicy, GaPolicy};
-use mrsch_eval::{EvalPlan, PolicySpec};
+use mrsch_eval::{BuildContext, EvalPlan, PolicySpec};
 use mrsch_workload::disruption::{
     swf_cancel_events, swf_relative_cancels, DisruptionConfig, DrainSpec,
 };
 use mrsch_workload::swf::parse_swf;
 use mrsch_workload::theta::TraceJob;
 use mrsim::{InjectedEvent, SimTime};
-
-/// Which scheduler the CLI should run.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum CliPolicy {
-    /// FCFS (the paper's Heuristic).
-    Fcfs,
-    /// Shortest-job-first.
-    Sjf,
-    /// Longest-job-first.
-    Ljf,
-    /// NSGA-II window optimizer.
-    Ga,
-    /// The MRSch DFP agent (optionally trained first).
-    Mrsch,
-}
 
 /// Parsed CLI invocation.
 #[derive(Clone, Debug, PartialEq)]
@@ -82,8 +65,10 @@ pub struct CliArgs {
     pub nodes: u64,
     /// Burst-buffer units.
     pub bb: u64,
-    /// Scheduler to run.
-    pub policy: CliPolicy,
+    /// Scheduler to run: any registry name or alias
+    /// ([`PolicySpec::parse`]) except `scalar-rl`, which only trains
+    /// through `evaluate`'s curriculum.
+    pub policy: PolicySpec,
     /// Window size.
     pub window: usize,
     /// RNG seed.
@@ -146,7 +131,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
         workload: "S1".into(),
         nodes: 256,
         bb: 75,
-        policy: CliPolicy::Fcfs,
+        policy: PolicySpec::Fcfs,
         window: 10,
         seed: 1,
         train_episodes: 4,
@@ -179,16 +164,7 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
                 out.nodes = value("--nodes")?.parse().map_err(|_| "--nodes: not a number")?
             }
             "--bb" => out.bb = value("--bb")?.parse().map_err(|_| "--bb: not a number")?,
-            "--policy" => {
-                out.policy = match value("--policy")?.as_str() {
-                    "fcfs" => CliPolicy::Fcfs,
-                    "sjf" => CliPolicy::Sjf,
-                    "ljf" => CliPolicy::Ljf,
-                    "ga" => CliPolicy::Ga,
-                    "mrsch" => CliPolicy::Mrsch,
-                    other => return Err(format!("unknown policy '{other}'")),
-                }
-            }
+            "--policy" => out.policy = PolicySpec::parse(&value("--policy")?)?,
             "--window" => {
                 out.window =
                     value("--window")?.parse().map_err(|_| "--window: not a number")?
@@ -260,7 +236,10 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     if out.snapshot_every == Some(0) {
         return Err("--snapshot-every must be positive".into());
     }
-    if out.snapshot_every.is_some() && out.policy == CliPolicy::Mrsch {
+    if out.policy == PolicySpec::ScalarRl {
+        return Err("scalar-rl trains on a scenario curriculum; run it through `evaluate`".into());
+    }
+    if out.snapshot_every.is_some() && out.policy.is_learnable() {
         return Err(
             "--snapshot-every checkpoints the simulator, not a learning agent; \
              use it with fcfs|sjf|ljf|ga"
@@ -425,14 +404,11 @@ pub fn run_on_trace(args: &CliArgs, trace: &[TraceJob]) -> Result<SimReport, Str
         policy.episode_end(&report);
         Ok(report)
     };
-    let report = match args.policy {
-        CliPolicy::Fcfs => run_baseline(&mut FcfsPolicy::default())?,
-        CliPolicy::Sjf => run_baseline(&mut ListPolicy::new(ListOrder::ShortestFirst))?,
-        CliPolicy::Ljf => run_baseline(&mut ListPolicy::new(ListOrder::LongestFirst))?,
-        CliPolicy::Ga => run_baseline(&mut GaPolicy::with_seed(args.seed))?,
-        CliPolicy::Mrsch => {
+    let report = match &args.policy {
+        PolicySpec::Mrsch(spec) => {
             let mut agent = MrschBuilder::new(system.clone(), params)
                 .seed(args.seed)
+                .state_module(spec.state_module)
                 .trainer(TrainerConfig::default().workers(args.workers))
                 .build();
             if let Some(path) = &args.model_in {
@@ -469,6 +445,9 @@ pub fn run_on_trace(args: &CliArgs, trace: &[TraceJob]) -> Result<SimReport, Str
                 .evaluate_disrupted_replay(&jobs, &events, &relative_cancels)
                 .map_err(|e| e.to_string())?
         }
+        baseline => run_baseline(
+            baseline.build(&BuildContext::new(&system, params, args.seed)).as_mut(),
+        )?,
     };
     Ok(report)
 }
@@ -490,8 +469,8 @@ pub fn main_with_args(args: &[String]) -> Result<String, String> {
 pub fn render_report(args: &CliArgs, report: &SimReport) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "policy={:?} workload={} jobs={} makespan={}s\n",
-        args.policy, args.workload, report.jobs_completed, report.makespan
+        "policy={} workload={} jobs={} makespan={}s\n",
+        args.policy.name(), args.workload, report.jobs_completed, report.makespan
     ));
     for (name, util) in report.resource_names.iter().zip(&report.resource_utilization) {
         out.push_str(&format!("  {name:<18} utilization {}\n", csv::f(*util)));
@@ -535,14 +514,14 @@ pub struct ResumeArgs {
     /// simulator state only, so stateless policies (fcfs/sjf/ljf)
     /// continue **bit-identically**; `ga` restarts its optimizer from
     /// `--seed` over the restored queue.
-    pub policy: CliPolicy,
+    pub policy: PolicySpec,
     /// RNG seed for `--policy ga`.
     pub seed: u64,
 }
 
 /// Parse `resume`-style arguments (everything after the subcommand).
 pub fn parse_resume_args(args: &[String]) -> Result<ResumeArgs, String> {
-    let mut out = ResumeArgs { from: String::new(), policy: CliPolicy::Fcfs, seed: 1 };
+    let mut out = ResumeArgs { from: String::new(), policy: PolicySpec::Fcfs, seed: 1 };
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         let mut value = |name: &str| -> Result<String, String> {
@@ -550,22 +529,7 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeArgs, String> {
         };
         match flag.as_str() {
             "--from" => out.from = value("--from")?,
-            "--policy" => {
-                out.policy = match value("--policy")?.as_str() {
-                    "fcfs" => CliPolicy::Fcfs,
-                    "sjf" => CliPolicy::Sjf,
-                    "ljf" => CliPolicy::Ljf,
-                    "ga" => CliPolicy::Ga,
-                    "mrsch" => {
-                        return Err(
-                            "resume does not support mrsch (agent weights are not part of \
-                             a simulator snapshot); use fcfs|sjf|ljf|ga"
-                                .into(),
-                        )
-                    }
-                    other => return Err(format!("unknown policy '{other}'")),
-                }
-            }
+            "--policy" => out.policy = PolicySpec::parse(&value("--policy")?)?,
             "--seed" => {
                 out.seed = value("--seed")?.parse().map_err(|_| "--seed: not a number")?
             }
@@ -574,6 +538,13 @@ pub fn parse_resume_args(args: &[String]) -> Result<ResumeArgs, String> {
     }
     if out.from.is_empty() {
         return Err("--from <snapshot file> is required".into());
+    }
+    if out.policy.is_learnable() {
+        return Err(format!(
+            "resume does not support {} (agent weights are not part of a simulator \
+             snapshot); use fcfs|sjf|ljf|ga",
+            out.policy.name()
+        ));
     }
     Ok(out)
 }
@@ -584,13 +555,10 @@ pub fn resume_run(args: &ResumeArgs) -> Result<SimReport, String> {
         std::fs::read(&args.from).map_err(|e| format!("reading {}: {e}", args.from))?;
     let mut sim: Simulator =
         Simulator::restore(&bytes).map_err(|e| format!("{}: {e}", args.from))?;
-    let mut policy: Box<dyn Policy> = match args.policy {
-        CliPolicy::Fcfs => Box::new(FcfsPolicy::default()),
-        CliPolicy::Sjf => Box::new(ListPolicy::new(ListOrder::ShortestFirst)),
-        CliPolicy::Ljf => Box::new(ListPolicy::new(ListOrder::LongestFirst)),
-        CliPolicy::Ga => Box::new(GaPolicy::with_seed(args.seed)),
-        CliPolicy::Mrsch => unreachable!("rejected during parsing"),
-    };
+    // Learnable specs were rejected at parse time; the baselines left
+    // read nothing but the seed from the context.
+    let mut policy =
+        args.policy.build(&BuildContext::new(sim.config(), SimParams::default(), args.seed));
     Ok(sim.run(policy.as_mut()))
 }
 
@@ -599,8 +567,8 @@ pub fn resume_main(args: &[String]) -> Result<String, String> {
     let parsed = parse_resume_args(args)?;
     let report = resume_run(&parsed)?;
     let mut out = format!(
-        "resumed {} policy={:?} jobs={} makespan={}s\n",
-        parsed.from, parsed.policy, report.jobs_completed, report.makespan
+        "resumed {} policy={} jobs={} makespan={}s\n",
+        parsed.from, parsed.policy.name(), report.jobs_completed, report.makespan
     );
     for (name, util) in report.resource_names.iter().zip(&report.resource_utilization) {
         out.push_str(&format!("  {name:<18} utilization {}\n", csv::f(*util)));
@@ -841,7 +809,7 @@ mod tests {
         .unwrap();
         assert_eq!(a.workload, "S4");
         assert_eq!(a.nodes, 64);
-        assert_eq!(a.policy, CliPolicy::Mrsch);
+        assert_eq!(a.policy, PolicySpec::mrsch());
         assert_eq!(a.window, 5);
         assert_eq!(a.model_out.as_deref(), Some("out.ckpt"));
     }
@@ -858,7 +826,8 @@ mod tests {
     #[test]
     fn runs_every_policy_on_a_synthetic_trace() {
         let trace = ThetaConfig { machine_nodes: 16, ..ThetaConfig::scaled(40) }.generate(3);
-        for policy in ["fcfs", "sjf", "ljf", "ga"] {
+        // `list:demanding` has no short alias: only the registry knows it.
+        for policy in ["fcfs", "sjf", "ljf", "ga", "list:demanding"] {
             let a = parse_args(&args(&[
                 "--swf", "unused.swf", "--workload", "S1", "--nodes", "16", "--bb", "8",
                 "--policy", policy, "--window", "4",
@@ -1028,7 +997,7 @@ mod tests {
         let a = parse_resume_args(&args(&["--from", "d/shard-0000.snap", "--policy", "sjf"]))
             .unwrap();
         assert_eq!(a.from, "d/shard-0000.snap");
-        assert_eq!(a.policy, CliPolicy::Sjf);
+        assert_eq!(a.policy.name(), "list:sjf");
         assert!(parse_resume_args(&args(&[])).is_err(), "--from required");
         let err =
             parse_resume_args(&args(&["--from", "x", "--policy", "mrsch"])).unwrap_err();
@@ -1058,7 +1027,7 @@ mod tests {
         assert!(snap.exists(), "periodic snapshot written");
         let resumed = resume_run(&ResumeArgs {
             from: snap.to_str().unwrap().into(),
-            policy: CliPolicy::Fcfs,
+            policy: PolicySpec::Fcfs,
             seed: 1,
         })
         .unwrap();

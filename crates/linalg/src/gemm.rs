@@ -35,6 +35,7 @@
 use crate::matrix::Matrix;
 use crate::pack::{self, AlignedBuf};
 use std::cell::RefCell;
+use std::sync::OnceLock;
 
 /// How a GEMM call may use threads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -85,19 +86,17 @@ pub fn default_policy() -> ParallelPolicy {
 }
 
 fn thread_count(policy: ParallelPolicy, rows: usize, flops: usize) -> usize {
-    let hw = || {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    };
-    let n = match policy {
-        ParallelPolicy::Serial => 1,
-        ParallelPolicy::Threads { max_threads } => max_threads.max(1),
-        ParallelPolicy::Auto => hw(),
-    };
     if flops < PARALLEL_FLOP_THRESHOLD {
         return 1;
     }
+    // Asked once: on Linux the answer costs cgroup and affinity reads.
+    static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+    let n = match policy {
+        ParallelPolicy::Serial => 1,
+        ParallelPolicy::Threads { max_threads } => max_threads,
+        ParallelPolicy::Auto => *HOST_THREADS
+            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get())),
+    };
     n.min(rows).max(1)
 }
 
@@ -259,39 +258,6 @@ pub fn matmul_a_bt_into(a: &Matrix, b: &Matrix, out: &mut Matrix) {
         b.shape()
     );
     gemm_into_core(a, false, b, true, default_policy(), out);
-}
-
-/// `C = A · B` forced through the *packed* (panel-packing) path
-/// regardless of shape. A measurement probe: benches compare the batch-1
-/// gemv routing against this to report an in-run speedup ratio, and
-/// tests assert the paths are bit-identical. Not a production entry
-/// point — dispatch in [`matmul`] already picks the faster path.
-pub fn matmul_packed_with(a: &Matrix, b: &Matrix, policy: ParallelPolicy) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul_packed_with: inner dims mismatch");
-    let (m, k, n) = dims(a, false, b, false);
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let threads = thread_count(policy, m, m * n * k);
-    packed_driver(a, false, b, false, threads, k, m, n, c.as_mut_slice());
-    c
-}
-
-/// `C = A · B` forced through the *direct* (unpacked) path regardless of
-/// shape — the second measurement probe (see [`matmul_packed_with`]).
-pub fn matmul_direct_with(a: &Matrix, b: &Matrix, policy: ParallelPolicy) -> Matrix {
-    assert_eq!(a.cols(), b.rows(), "matmul_direct_with: inner dims mismatch");
-    let (m, k, n) = dims(a, false, b, false);
-    let mut c = Matrix::zeros(m, n);
-    if m == 0 || n == 0 || k == 0 {
-        return c;
-    }
-    let threads = thread_count(policy, m, m * n * k);
-    run_banded(threads, m, n, c.as_mut_slice(), &|band, r0, r1| {
-        direct_rows(a, false, b, false, band, r0, r1)
-    });
-    c
 }
 
 // ---------------------------------------------------------------------------
@@ -566,8 +532,7 @@ fn direct_rows_generic(a: &Matrix, trans_a: bool, b: &Matrix, trans_b: bool, ban
 // ---------------------------------------------------------------------------
 
 /// Reference implementations: the naive triple loops that *define* the
-/// bit-exactness contract, plus the pre-micro-kernel blocked loop kept
-/// as the performance baseline for the benchmark regression gate.
+/// bit-exactness contract.
 pub mod reference {
     use super::Matrix;
 
@@ -623,31 +588,6 @@ pub mod reference {
                     acc = a.get(kk, i).mul_add(b.get(kk, j), acc);
                 }
                 c.set(i, j, acc);
-            }
-        }
-        c
-    }
-
-    /// The pre-micro-kernel serial GEMM (ikj loop, separate mul and
-    /// add, zero-skip): kept verbatim as the baseline the benchmark
-    /// suite measures speedups against. NOT bit-identical to the fused
-    /// kernels — it is a performance yardstick, not a correctness one.
-    pub fn blocked_ikj(a: &Matrix, b: &Matrix) -> Matrix {
-        assert_eq!(a.cols(), b.rows(), "blocked_ikj: inner dims mismatch");
-        let (m, k_dim) = a.shape();
-        let n = b.cols();
-        let mut c = Matrix::zeros(m, n);
-        for i in 0..m {
-            let out = &mut c.as_mut_slice()[i * n..(i + 1) * n];
-            let a_row = a.row(i);
-            for (kk, &aik) in a_row.iter().enumerate().take(k_dim) {
-                if aik == 0.0 {
-                    continue;
-                }
-                let b_row = b.row(kk);
-                for (o, &bv) in out.iter_mut().zip(b_row) {
-                    *o += aik * bv;
-                }
             }
         }
         c
@@ -783,16 +723,20 @@ mod tests {
     }
 
     #[test]
-    fn blocked_ikj_baseline_stays_close() {
-        // The legacy kernel is a perf yardstick: approximately, not
-        // bitwise, equal (separate rounding, no fma).
-        let a = rand_matrix(16, 24, 12);
-        let b = rand_matrix(24, 20, 13);
-        let legacy = reference::blocked_ikj(&a, &b);
-        let fused = matmul_with(&a, &b, ParallelPolicy::Serial);
-        for (x, y) in legacy.as_slice().iter().zip(fused.as_slice()) {
-            assert!((x - y).abs() < crate::TEST_EPS, "{x} vs {y}");
+    fn thread_count_is_one_below_the_threshold_and_clamped_to_rows_above() {
+        let below = PARALLEL_FLOP_THRESHOLD - 1;
+        for policy in [
+            ParallelPolicy::Serial,
+            ParallelPolicy::Threads { max_threads: 8 },
+            ParallelPolicy::Auto,
+        ] {
+            assert_eq!(thread_count(policy, 64, below), 1, "{policy:?}");
         }
+        let threads = |n| ParallelPolicy::Threads { max_threads: n };
+        assert_eq!(thread_count(threads(8), 64, PARALLEL_FLOP_THRESHOLD), 8);
+        assert_eq!(thread_count(threads(8), 3, PARALLEL_FLOP_THRESHOLD), 3);
+        assert_eq!(thread_count(threads(0), 3, PARALLEL_FLOP_THRESHOLD), 1);
+        assert_eq!(thread_count(ParallelPolicy::Serial, 64, PARALLEL_FLOP_THRESHOLD), 1);
     }
 
     #[test]
@@ -821,17 +765,32 @@ mod tests {
         assert_eq!(matmul(&a, &b), reference::matmul(&a, &b));
     }
 
+    /// `C = A · B` through the packed (`packed == true`) or direct path
+    /// regardless of what [`matmul`]'s dispatch would pick for the shape.
+    fn matmul_forced(a: &Matrix, b: &Matrix, packed: bool) -> Matrix {
+        let (m, k, n) = dims(a, false, b, false);
+        let mut c = Matrix::zeros(m, n);
+        if packed {
+            packed_driver(a, false, b, false, 1, k, m, n, c.as_mut_slice());
+        } else {
+            run_banded(1, m, n, c.as_mut_slice(), &|band, r0, r1| {
+                direct_rows(a, false, b, false, band, r0, r1)
+            });
+        }
+        c
+    }
+
     #[test]
     fn forced_paths_agree_with_dispatch_bitwise() {
-        // The bench probes (forced packed / forced direct) and the gemv
-        // routing must all produce the same bits, including on the
-        // batch-1 shape where packing pads the row panel.
+        // Forced packed, forced direct and the gemv routing must all
+        // produce the same bits, including on the batch-1 shape where
+        // packing pads the row panel.
         for (m, k, n) in [(1, 64, 48), (1, 200, 33), (6, 64, 48), (12, 40, 20)] {
             let a = rand_matrix(m, k, 60 + m as u64);
             let b = rand_matrix(k, n, 61 + n as u64);
             let auto = matmul_with(&a, &b, ParallelPolicy::Serial);
-            assert_eq!(auto, matmul_packed_with(&a, &b, ParallelPolicy::Serial), "{m}x{k}x{n} packed");
-            assert_eq!(auto, matmul_direct_with(&a, &b, ParallelPolicy::Serial), "{m}x{k}x{n} direct");
+            assert_eq!(auto, matmul_forced(&a, &b, true), "{m}x{k}x{n} packed");
+            assert_eq!(auto, matmul_forced(&a, &b, false), "{m}x{k}x{n} direct");
             assert_eq!(auto, reference::matmul(&a, &b), "{m}x{k}x{n} reference");
         }
     }

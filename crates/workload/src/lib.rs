@@ -12,9 +12,8 @@
 //!   log-normal, log-uniform, Poisson process), built on plain `rand`,
 //! * [`theta`] — the base-trace synthesizer (node counts, runtimes,
 //!   walltime estimates, diurnal Poisson arrivals),
-//! * [`darshan`] — Darshan-style burst-buffer request assignment (40 %
-//!   of jobs with I/O records, 17.18 % over 1 GB, 1 GB–285 TB range),
-//! * [`suite`] — the S1–S5 workload builders of Table III and the
+//! * [`suite`] — the S1–S5 workload builders of Table III (which carry
+//!   the Darshan-derived burst-buffer request assignment) and the
 //!   S6–S10 power extension of §V-E,
 //! * [`jobset`] — job-set construction for the three-phase training
 //!   curriculum of §III-D (sampled / real / synthetic) and the six
@@ -34,7 +33,6 @@
 //!
 //! All generators take explicit seeds and are fully deterministic.
 
-pub mod darshan;
 pub mod disruption;
 pub mod dist;
 pub mod jobset;

@@ -1,7 +1,13 @@
 //! The S1–S10 workload suite (Table III and §V-E of the paper).
 //!
-//! Each workload is derived from a base trace by re-assigning
-//! burst-buffer requests (and, for S6–S10, power profiles):
+//! The paper extends the CPU-only Theta trace with burst-buffer requests
+//! by mining Darshan I/O logs (§IV-A): 40 % of jobs had Darshan records,
+//! 17.18 % of all jobs moved more than 1 GB, and the assigned request
+//! sizes range from 1 GB to 285 TB against a 1.26 PB shared burst buffer.
+//! Each workload is derived from a base trace by re-assigning those
+//! requests — a participating fraction of jobs draws a heavy-tailed
+//! (log-uniform) size, everything else gets zero — and, for S6–S10,
+//! power profiles:
 //!
 //! | Workload | nodes | BB participation | BB size range |
 //! |---|---|---|---|
