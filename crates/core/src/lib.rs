@@ -19,8 +19,8 @@
 //!   modes,
 //! * [`agent`] — [`agent::MrschPolicy`], the [`mrsim::Policy`]
 //!   implementation wrapping a [`mrsch_dfp::DfpAgent`],
-//! * [`training`] — agent construction and the three-phase curriculum
-//!   trainer of §III-D,
+//! * [`training`] — agent construction, single-episode training and
+//!   evaluation,
 //! * [`engine`] — the scenario-driven training engine: curriculum
 //!   phases rolled out by parallel workers under frozen policy
 //!   snapshots and merged deterministically (worker count never changes
@@ -57,7 +57,7 @@ pub use engine::{EngineOutcome, PhaseOutcome, TrainerConfig, TrainingEngine};
 pub use explain::{Explainer, Explanation};
 pub use encoder::StateEncoder;
 pub use goal::GoalMode;
-pub use training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
+pub use training::{Mrsch, MrschBuilder};
 
 /// Convenient re-exports for downstream users and examples.
 pub mod prelude {
@@ -65,7 +65,7 @@ pub mod prelude {
     pub use crate::encoder::StateEncoder;
     pub use crate::engine::{EngineOutcome, PhaseOutcome, TrainerConfig, TrainingEngine};
     pub use crate::goal::GoalMode;
-    pub use crate::training::{Mrsch, MrschBuilder, TrainOutcome, ValidatedOutcome};
+    pub use crate::training::{Mrsch, MrschBuilder};
     pub use mrsch_dfp::{DfpAgent, DfpConfig, StateModuleKind};
     pub use mrsch_workload::disruption::{DisruptionConfig, DisruptionTrace, DrainSpec};
     pub use mrsch_workload::scenario::{

@@ -1,20 +1,18 @@
-//! Building and training MRSch agents: the three-phase curriculum of
-//! §III-D.
+//! Building and training MRSch agents.
 //!
 //! [`MrschBuilder`] wires together the system configuration, the state
 //! encoder, and a [`DfpConfig`] sized for that encoder, producing an
-//! [`Mrsch`] handle that can train over job sets and evaluate on held-out
-//! workloads.
+//! [`Mrsch`] handle that trains — one episode at a time
+//! ([`Mrsch::train_episode`]) or over a scenario curriculum such as the
+//! paper's §III-D job-set ordering ([`Mrsch::train_with_curriculum`]) —
+//! and evaluates on held-out workloads.
 
 use crate::agent::{Mode, MrschPolicy};
 use crate::encoder::StateEncoder;
 use crate::engine::{EngineOutcome, RolloutTask, TrainerConfig, TrainingEngine};
 use crate::goal::GoalMode;
 use mrsch_dfp::{DfpAgent, DfpConfig, StateModuleKind};
-use mrsch_workload::jobset::JobSetKind;
 use mrsch_workload::scenario::{mix_seed, Curriculum};
-use mrsch_workload::suite::WorkloadSpec;
-use mrsch_workload::theta::TraceJob;
 use mrsim::job::Job;
 use mrsim::resources::SystemConfig;
 use mrsim::simulator::{SimParams, Simulator};
@@ -108,32 +106,6 @@ impl MrschBuilder {
             seed: self.seed,
         }
     }
-}
-
-/// Result of training over a sequence of job sets.
-#[derive(Clone, Debug, Default)]
-pub struct TrainOutcome {
-    /// Evaluation loss after each episode (the Fig. 4 convergence curve).
-    pub episode_losses: Vec<f32>,
-    /// Kind of the job set that produced each episode.
-    pub episode_kinds: Vec<JobSetKind>,
-}
-
-/// Result of validated training ([`Mrsch::train_curriculum_validated`]).
-///
-/// The paper's §IV-A holds out a two-week validation slice; this trainer
-/// uses it for model selection: after every episode the agent is scored
-/// on the validation workload and the best-scoring parameters are
-/// restored at the end.
-#[derive(Clone, Debug, Default)]
-pub struct ValidatedOutcome {
-    /// Replay loss after each episode.
-    pub episode_losses: Vec<f32>,
-    /// Validation score after each episode (average slowdown — lower is
-    /// better).
-    pub val_scores: Vec<f64>,
-    /// Episode index whose parameters were kept.
-    pub best_episode: usize,
 }
 
 /// A ready-to-use MRSch agent bound to one system configuration.
@@ -233,60 +205,6 @@ impl Mrsch {
         TrainingEngine::new(self.trainer.clone()).train(self, curriculum)
     }
 
-    /// Train over a curriculum of job sets materialized through a
-    /// workload spec (each trace job set gets the spec's extended
-    /// resources before simulation).
-    pub fn train_curriculum(
-        &mut self,
-        sets: &[(JobSetKind, Vec<TraceJob>)],
-        spec: &WorkloadSpec,
-        seed: u64,
-    ) -> TrainOutcome {
-        let mut outcome = TrainOutcome::default();
-        for (i, (kind, set)) in sets.iter().enumerate() {
-            let jobs = spec.build(set, &self.system, seed.wrapping_add(i as u64));
-            let loss = self.train_episode(&jobs);
-            outcome.episode_losses.push(loss.unwrap_or(f32::NAN));
-            outcome.episode_kinds.push(*kind);
-        }
-        outcome
-    }
-
-    /// Train over a curriculum with validation-based model selection:
-    /// after every episode the agent is scored (greedy, no learning) on
-    /// `val_jobs`; the parameters of the best-scoring episode are
-    /// restored before returning. Scoring metric: average slowdown.
-    pub fn train_curriculum_validated(
-        &mut self,
-        sets: &[(JobSetKind, Vec<TraceJob>)],
-        spec: &WorkloadSpec,
-        val_jobs: &[Job],
-        seed: u64,
-    ) -> ValidatedOutcome {
-        assert!(!val_jobs.is_empty(), "validated training needs validation jobs");
-        let mut outcome = ValidatedOutcome::default();
-        let mut best: Option<(f64, bytes::Bytes)> = None;
-        for (i, (_, set)) in sets.iter().enumerate() {
-            let jobs = spec.build(set, &self.system, seed.wrapping_add(i as u64));
-            let loss = self.train_episode(&jobs);
-            outcome.episode_losses.push(loss.unwrap_or(f32::NAN));
-            let score = self.evaluate(val_jobs).avg_slowdown;
-            outcome.val_scores.push(score);
-            let improved = best.as_ref().map(|(s, _)| score < *s).unwrap_or(true);
-            if improved {
-                best = Some((score, self.agent.network_mut().save_checkpoint()));
-                outcome.best_episode = i;
-            }
-        }
-        if let Some((_, ckpt)) = best {
-            self.agent
-                .network_mut()
-                .load_checkpoint(&ckpt)
-                .expect("own checkpoint must load");
-        }
-        outcome
-    }
-
     /// Consume the handle into an owned, evaluation-only
     /// [`crate::agent::TrainedMrschPolicy`] — the boxed-`Policy` form
     /// used by the `mrsch_eval` registry. The policy acts exactly like
@@ -299,7 +217,7 @@ impl Mrsch {
 
     /// Evaluate greedily on a job list, returning the simulator report.
     pub fn evaluate(&mut self, jobs: &[Job]) -> SimReport {
-        self.run_eval(jobs, &[], &[]).expect("no disruptions: injection cannot fail").0
+        self.run_eval(jobs, &[]).expect("no disruptions: injection cannot fail").0
     }
 
     /// Evaluate greedily under a disruption trace (cancellations,
@@ -311,20 +229,7 @@ impl Mrsch {
         jobs: &[Job],
         disruptions: &[mrsim::InjectedEvent],
     ) -> Result<SimReport, mrsim::simulator::SimError> {
-        Ok(self.run_eval(jobs, disruptions, &[])?.0)
-    }
-
-    /// [`Mrsch::evaluate_disrupted`] plus wait-time-aware cancel replay:
-    /// each `(job, delay)` pair cancels the job at `start + delay` of
-    /// the *simulated* run (the faithful SWF cancel mapping — see
-    /// `mrsim::Simulator::schedule_cancel_after_start`).
-    pub fn evaluate_disrupted_replay(
-        &mut self,
-        jobs: &[Job],
-        disruptions: &[mrsim::InjectedEvent],
-        relative_cancels: &[(usize, SimTime)],
-    ) -> Result<SimReport, mrsim::simulator::SimError> {
-        Ok(self.run_eval(jobs, disruptions, relative_cancels)?.0)
+        Ok(self.run_eval(jobs, disruptions)?.0)
     }
 
     /// Evaluate and also return the per-decision goal log (Figs. 8–9).
@@ -332,7 +237,7 @@ impl Mrsch {
         &mut self,
         jobs: &[Job],
     ) -> (SimReport, Vec<(SimTime, Vec<f32>)>) {
-        self.run_eval(jobs, &[], &[]).expect("no disruptions: injection cannot fail")
+        self.run_eval(jobs, &[]).expect("no disruptions: injection cannot fail")
     }
 
     #[allow(clippy::type_complexity)]
@@ -340,7 +245,6 @@ impl Mrsch {
         &mut self,
         jobs: &[Job],
         disruptions: &[mrsim::InjectedEvent],
-        relative_cancels: &[(usize, SimTime)],
     ) -> Result<(SimReport, Vec<(SimTime, Vec<f32>)>), mrsim::simulator::SimError> {
         let mut policy = MrschPolicy::new(
             &mut self.agent,
@@ -351,9 +255,6 @@ impl Mrsch {
         let mut sim = Simulator::new(self.system.clone(), jobs.to_vec(), self.params)
             .expect("jobs must be valid for the system");
         sim.inject_all(disruptions)?;
-        for &(id, delay) in relative_cancels {
-            sim.schedule_cancel_after_start(id, delay)?;
-        }
         let report = sim.run(&mut policy);
         let log = policy.goal_log().to_vec();
         Ok((report, log))
@@ -363,7 +264,8 @@ impl Mrsch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrsch_workload::theta::ThetaConfig;
+    use mrsch_workload::suite::WorkloadSpec;
+    use mrsch_workload::theta::{ThetaConfig, TraceJob};
 
     fn tiny_system() -> SystemConfig {
         SystemConfig::two_resource(16, 8)
@@ -414,23 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn curriculum_training_produces_losses() {
-        let mut mrsch = tiny_builder().build();
-        let spec = WorkloadSpec::s1();
-        let sets = vec![
-            (JobSetKind::Sampled, tiny_trace(25, 7)),
-            (JobSetKind::Real, tiny_trace(25, 8)),
-            (JobSetKind::Synthetic, tiny_trace(25, 9)),
-        ];
-        let outcome = mrsch.train_curriculum(&sets, &spec, 10);
-        assert_eq!(outcome.episode_losses.len(), 3);
-        assert_eq!(outcome.episode_kinds[0], JobSetKind::Sampled);
-        // After three episodes replay certainly holds a batch, so at
-        // least the later losses are finite.
-        assert!(outcome.episode_losses.last().unwrap().is_finite());
-    }
-
-    #[test]
     fn goal_log_returned_during_evaluation() {
         let mut mrsch = tiny_builder().build();
         let spec = WorkloadSpec::s4();
@@ -441,40 +326,6 @@ mod tests {
         for (_, g) in &log {
             assert_eq!(g.len(), 2);
         }
-    }
-
-    #[test]
-    fn validated_training_restores_best_parameters() {
-        let mut mrsch = tiny_builder().build();
-        let spec = WorkloadSpec::s2();
-        let sets = vec![
-            (JobSetKind::Sampled, tiny_trace(20, 17)),
-            (JobSetKind::Real, tiny_trace(20, 18)),
-            (JobSetKind::Synthetic, tiny_trace(20, 19)),
-        ];
-        let val_jobs = spec.build(&tiny_trace(20, 20), &tiny_system(), 21);
-        let outcome = mrsch.train_curriculum_validated(&sets, &spec, &val_jobs, 22);
-        assert_eq!(outcome.val_scores.len(), 3);
-        assert!(outcome.best_episode < 3);
-        // The restored model must reproduce the best validation score.
-        let restored_score = mrsch.evaluate(&val_jobs).avg_slowdown;
-        let best_seen = outcome
-            .val_scores
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min);
-        assert!(
-            (restored_score - best_seen).abs() < 1e-9,
-            "restored {restored_score} vs best {best_seen}"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "needs validation jobs")]
-    fn validated_training_requires_val_jobs() {
-        let mut mrsch = tiny_builder().build();
-        let spec = WorkloadSpec::s1();
-        let _ = mrsch.train_curriculum_validated(&[], &spec, &[], 1);
     }
 
     #[test]

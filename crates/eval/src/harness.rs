@@ -17,6 +17,7 @@
 //! rollout workers.
 
 use crate::cache::PolicyCache;
+use crate::columns::{self, Column};
 use crate::registry::{BuildContext, PolicySpec};
 use crate::table;
 use mrsch::prelude::*;
@@ -238,8 +239,7 @@ impl EvalPlan {
         let seed = self.seeds[idx % nk];
         let scenario = &self.scenarios[si];
         let spec = &self.policies[pi];
-        let system = scenario.spec.system_for(&self.base_system);
-        let episode = scenario.materialize(&system, mix_seed(seed, EVAL_EPISODE_SALT));
+        let (system, episode) = eval_episode(scenario, &self.base_system, seed);
         let cp_bound = episode.makespan_lower_bound(&system);
         let report = if spec.is_learnable() {
             let fallback;
@@ -295,6 +295,21 @@ impl EvalPlan {
     }
 }
 
+/// The evaluation episode of the cell `(_, scenario, seed)` and the
+/// system it runs on (the scenario's workload spec resolved against
+/// `base_system`) — the one derivation [`EvalPlan::run`] and
+/// [`EvalCell::run`] share, exposed for drivers that need the episode's
+/// jobs themselves (goal-vector logging).
+pub fn eval_episode(
+    scenario: &Scenario,
+    base_system: &SystemConfig,
+    seed: u64,
+) -> (SystemConfig, EpisodeSpec) {
+    let system = scenario.spec.system_for(base_system);
+    let episode = scenario.materialize(&system, mix_seed(seed, EVAL_EPISODE_SALT));
+    (system, episode)
+}
+
 /// Run one materialized episode under a policy, reusing the worker's
 /// per-scenario simulator when one exists ([`EpisodeSpec::install`]
 /// swaps the trace, parameters, dependency graph and injected events
@@ -340,6 +355,23 @@ pub struct EvalCell {
 }
 
 impl EvalCell {
+    /// Evaluate a hand-built policy as the cell `(name, scenario, seed)`
+    /// on the episode an [`EvalPlan`] would give that cell — for
+    /// variants no [`PolicySpec`] names (a fixed goal vector, a live
+    /// agent whose goal log is read afterwards).
+    pub fn run(
+        name: impl Into<String>,
+        scenario: &Scenario,
+        base_system: &SystemConfig,
+        seed: u64,
+        policy: &mut dyn Policy,
+    ) -> EvalCell {
+        let (system, episode) = eval_episode(scenario, base_system, seed);
+        let cp_bound = episode.makespan_lower_bound(&system);
+        let report = run_episode(&mut HashMap::new(), 0, &system, &episode, policy);
+        EvalCell { policy: name.into(), scenario: scenario.name.clone(), seed, cp_bound, report }
+    }
+
     /// Relative makespan regret against the critical-path/area lower
     /// bound: `makespan / bound − 1` (0 when the bound is degenerate).
     pub fn cp_regret(&self) -> f64 {
@@ -370,41 +402,15 @@ impl Aggregate {
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n;
         Self { mean, std: var.sqrt() }
     }
+
+    /// Aggregate one column over a set of cells.
+    fn over(cells: &[&EvalCell], column: Column) -> Self {
+        Self::of(&cells.iter().map(|c| column.number(c)).collect::<Vec<f64>>())
+    }
 }
 
-/// Seed-aggregated metrics of one `(policy, scenario)` pair.
-#[derive(Clone, Debug)]
-pub struct AggregateRow {
-    /// Policy name.
-    pub policy: String,
-    /// Scenario name.
-    pub scenario: String,
-    /// Seeds aggregated.
-    pub seeds: usize,
-    /// Utilization of resource 0 (nodes).
-    pub node_util: Aggregate,
-    /// Utilization of resource 1 (burst buffer; 0 when absent).
-    pub bb_util: Aggregate,
-    /// Average job wait, hours.
-    pub avg_wait_h: Aggregate,
-    /// Average bounded slowdown.
-    pub avg_slowdown: Aggregate,
-    /// Makespan, seconds.
-    pub makespan_s: Aggregate,
-    /// Jobs cancelled (disruptions).
-    pub cancelled: Aggregate,
-    /// Jobs killed at their walltime (disruptions).
-    pub killed: Aggregate,
-    /// Total energy drawn, kWh (0 when the scenario carries no power
-    /// model).
-    pub energy_kwh: Aggregate,
-    /// Relative makespan regret against the per-cell critical-path/area
-    /// lower bound ([`EvalCell::cp_regret`]).
-    pub cp_regret: Aggregate,
-}
-
-/// Every cell of an executed [`EvalPlan`], with aggregation and CSV
-/// emission — the single result type all retrofitted drivers share.
+/// Every cell of an executed [`EvalPlan`] — the single result type all
+/// drivers share. Tables are [`Column`] selections over its cells.
 #[derive(Clone, Debug, Default)]
 pub struct EvalGrid {
     /// All cells in `(policy, scenario, seed)`-major plan order.
@@ -420,24 +426,12 @@ impl EvalGrid {
 
     /// Policy names in first-appearance order.
     pub fn policies(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for c in &self.cells {
-            if !out.contains(&c.policy) {
-                out.push(c.policy.clone());
-            }
-        }
-        out
+        first_appearances(self.cells.iter().map(|c| &c.policy))
     }
 
     /// Scenario names in first-appearance order.
     pub fn scenarios(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for c in &self.cells {
-            if !out.contains(&c.scenario) {
-                out.push(c.scenario.clone());
-            }
-        }
-        out
+        first_appearances(self.cells.iter().map(|c| &c.scenario))
     }
 
     /// Look up one cell.
@@ -447,95 +441,50 @@ impl EvalGrid {
             .find(|c| c.policy == policy && c.scenario == scenario && c.seed == seed)
     }
 
-    /// Seed-aggregate one `(policy, scenario)` pair (`None` when no
-    /// cell matches).
-    pub fn aggregate(&self, policy: &str, scenario: &str) -> Option<AggregateRow> {
-        let cells: Vec<&EvalCell> = self
-            .cells
-            .iter()
-            .filter(|c| c.policy == policy && c.scenario == scenario)
-            .collect();
-        if cells.is_empty() {
-            return None;
-        }
-        let pick = |f: &dyn Fn(&SimReport) -> f64| -> Aggregate {
-            Aggregate::of(&cells.iter().map(|c| f(&c.report)).collect::<Vec<f64>>())
-        };
-        Some(AggregateRow {
-            policy: policy.to_string(),
-            scenario: scenario.to_string(),
-            seeds: cells.len(),
-            node_util: pick(&|r| r.resource_utilization[0]),
-            bb_util: pick(&|r| r.resource_utilization.get(1).copied().unwrap_or(0.0)),
-            avg_wait_h: pick(&|r| r.avg_wait_hours()),
-            avg_slowdown: pick(&|r| r.avg_slowdown),
-            makespan_s: pick(&|r| r.makespan as f64),
-            cancelled: pick(&|r| r.jobs_cancelled as f64),
-            killed: pick(&|r| r.jobs_killed as f64),
-            energy_kwh: pick(&|r| r.energy_kwh()),
-            cp_regret: Aggregate::of(
-                &cells.iter().map(|c| c.cp_regret()).collect::<Vec<f64>>(),
-            ),
-        })
+    /// The cells scenario by scenario (the order the paper's figures
+    /// list them in), plan order within a scenario.
+    pub fn by_scenario(&self) -> Vec<&EvalCell> {
+        let scenarios = self.scenarios();
+        scenarios.iter().flat_map(|s| self.cells.iter().filter(move |c| &c.scenario == s)).collect()
     }
 
-    /// Seed-aggregated rows for every `(policy, scenario)` pair, in
-    /// first-appearance order.
-    pub fn aggregate_rows(&self) -> Vec<AggregateRow> {
-        let mut out = Vec::new();
+    /// Mean ± std of one column over the seeds of a `(policy, scenario)`
+    /// pair (`None` when no cell matches).
+    pub fn aggregate(&self, policy: &str, scenario: &str, column: Column) -> Option<Aggregate> {
+        let cells = self.pair(policy, scenario);
+        (!cells.is_empty()).then(|| Aggregate::over(&cells, column))
+    }
+
+    /// The cells of one `(policy, scenario)` pair, in seed order.
+    fn pair(&self, policy: &str, scenario: &str) -> Vec<&EvalCell> {
+        self.cells.iter().filter(|c| c.policy == policy && c.scenario == scenario).collect()
+    }
+
+    /// Seed-aggregated rows, one per `(scenario, policy)` pair in
+    /// first-appearance order: the `keys` of the pair's first cell, the
+    /// number of seeds, then mean and std of every metric.
+    pub fn aggregate_rows(&self, keys: &[Column], metrics: &[Column]) -> Vec<Vec<String>> {
+        let mut rows = Vec::new();
         for scenario in self.scenarios() {
             for policy in self.policies() {
-                if let Some(row) = self.aggregate(&policy, &scenario) {
-                    out.push(row);
+                let cells = self.pair(&policy, &scenario);
+                let Some(first) = cells.first() else { continue };
+                let mut row: Vec<String> = keys.iter().map(|k| k.text(first)).collect();
+                row.push(cells.len().to_string());
+                for &metric in metrics {
+                    let agg = Aggregate::over(&cells, metric);
+                    row.extend([table::f(agg.mean), table::f(agg.std)]);
                 }
+                rows.push(row);
             }
         }
-        out
+        rows
     }
 
-    /// Per-cell CSV (one row per grid cell).
+    /// Per-cell CSV (one row per grid cell, plan order).
     pub fn cell_csv(&self) -> (Vec<&'static str>, Vec<Vec<String>>) {
-        let header = vec![
-            "policy",
-            "scenario",
-            "seed",
-            "node_util",
-            "bb_util",
-            "avg_wait_h",
-            "avg_slowdown",
-            "makespan_s",
-            "completed",
-            "cancelled",
-            "killed",
-            "unfinished",
-            "cp_bound_s",
-            "cp_regret",
-            "energy_kwh",
-        ];
-        let rows = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    c.policy.clone(),
-                    c.scenario.clone(),
-                    c.seed.to_string(),
-                    table::f(c.report.resource_utilization[0]),
-                    table::f(c.report.resource_utilization.get(1).copied().unwrap_or(0.0)),
-                    table::f(c.report.avg_wait_hours()),
-                    table::f(c.report.avg_slowdown),
-                    c.report.makespan.to_string(),
-                    c.report.jobs_completed.to_string(),
-                    c.report.jobs_cancelled.to_string(),
-                    c.report.jobs_killed.to_string(),
-                    c.report.jobs_unfinished.to_string(),
-                    c.cp_bound.to_string(),
-                    table::f(c.cp_regret()),
-                    table::f(c.report.energy_kwh()),
-                ]
-            })
-            .collect();
-        (header, rows)
+        let t = columns::table("", &columns::CELL_CSV, &self.cells);
+        (t.header, t.rows)
     }
 
     /// Seed-aggregated CSV (one row per `(policy, scenario)` with
@@ -560,56 +509,20 @@ impl EvalGrid {
             "energy_kwh_mean",
             "energy_kwh_std",
         ];
-        let rows = self
-            .aggregate_rows()
-            .iter()
-            .map(|r| {
-                vec![
-                    r.policy.clone(),
-                    r.scenario.clone(),
-                    r.seeds.to_string(),
-                    table::f(r.node_util.mean),
-                    table::f(r.node_util.std),
-                    table::f(r.bb_util.mean),
-                    table::f(r.bb_util.std),
-                    table::f(r.avg_wait_h.mean),
-                    table::f(r.avg_wait_h.std),
-                    table::f(r.avg_slowdown.mean),
-                    table::f(r.avg_slowdown.std),
-                    table::f(r.makespan_s.mean),
-                    table::f(r.makespan_s.std),
-                    table::f(r.cp_regret.mean),
-                    table::f(r.cp_regret.std),
-                    table::f(r.energy_kwh.mean),
-                    table::f(r.energy_kwh.std),
-                ]
-            })
-            .collect();
-        (header, rows)
+        let keys = [columns::POLICY, columns::SCENARIO];
+        (header, self.aggregate_rows(&keys, &columns::AGGREGATE_CSV))
     }
+}
 
-    /// Human-readable aggregate table.
-    pub fn render_aggregate_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<16} {:<16} {:>5} {:>16} {:>16} {:>16} {:>16}\n",
-            "policy", "scenario", "seeds", "node util", "bb util", "wait (h)", "slowdown"
-        ));
-        for r in self.aggregate_rows() {
-            let fmt = |a: &Aggregate| format!("{:.3} ± {:.3}", a.mean, a.std);
-            out.push_str(&format!(
-                "{:<16} {:<16} {:>5} {:>16} {:>16} {:>16} {:>16}\n",
-                r.policy,
-                r.scenario,
-                r.seeds,
-                fmt(&r.node_util),
-                fmt(&r.bb_util),
-                fmt(&r.avg_wait_h),
-                fmt(&r.avg_slowdown),
-            ));
+/// Distinct names in first-appearance order.
+fn first_appearances<'a>(names: impl Iterator<Item = &'a String>) -> Vec<String> {
+    let mut out: Vec<String> = Vec::new();
+    for name in names {
+        if !out.contains(name) {
+            out.push(name.clone());
         }
-        out
     }
+    out
 }
 
 #[cfg(test)]
@@ -751,17 +664,17 @@ mod tests {
     #[test]
     fn aggregates_and_csv_cover_the_grid() {
         let grid = tiny_plan(vec![PolicySpec::Fcfs], vec![1, 2, 3]).run();
-        let row = grid.aggregate("fcfs", "clean").expect("aggregate exists");
-        assert_eq!(row.seeds, 3);
-        assert!(row.node_util.mean > 0.0);
-        assert!(row.node_util.std >= 0.0);
+        let util = grid.aggregate("fcfs", "clean", columns::NODE_UTIL).expect("pair exists");
+        assert!(util.mean > 0.0);
+        assert!(util.std >= 0.0);
+        assert!(grid.aggregate("ga", "clean", columns::NODE_UTIL).is_none());
         let (header, rows) = grid.cell_csv();
         assert_eq!(rows.len(), 3);
         assert_eq!(rows[0].len(), header.len());
         let (aheader, arows) = grid.aggregate_csv();
         assert_eq!(arows.len(), 1);
         assert_eq!(arows[0].len(), aheader.len());
-        assert!(grid.render_aggregate_table().contains("fcfs"));
+        assert_eq!(arows[0][..4], ["fcfs".to_string(), "clean".into(), "3".into(), table::f(util.mean)]);
     }
 
     fn tiny_dfp_config() -> DfpConfig {

@@ -15,9 +15,10 @@
 //! * [`harness::EvalPlan`] — `policies × scenarios × seeds`, executed
 //!   as a worker-threaded grid with a deterministic merge (worker count
 //!   never changes results);
-//! * [`harness::EvalGrid`] — per-cell `SimReport`s, multi-seed
-//!   [`harness::Aggregate`]s, and one shared CSV/table emitter
-//!   ([`table`]);
+//! * [`harness::EvalGrid`] — per-cell `SimReport`s, the only result
+//!   type; every table is a selection of named [`columns`] over its
+//!   cells (per cell, or mean ± std over seeds), emitted as one
+//!   [`table::Table`] (aligned text or CSV);
 //! * [`scenario_registry::ScenarioSpec`] — a string-addressable
 //!   scenario (`"clean"`, `"dag:fanout:3"`, `"bursty:diurnal:60"`,
 //!   `"energy:drain"`, ...) spanning the disruption, workflow-DAG,
@@ -42,20 +43,23 @@
 //! )
 //! .run();
 //! assert_eq!(grid.cells.len(), 4);
-//! let fcfs = grid.aggregate("fcfs", "clean").unwrap();
-//! assert_eq!(fcfs.seeds, 2);
+//! let wait = grid.aggregate("fcfs", "clean", mrsch_eval::columns::AVG_WAIT_H).unwrap();
+//! assert!(wait.mean >= 0.0 && wait.std >= 0.0);
 //! ```
 
 pub mod cache;
+pub mod columns;
 pub mod harness;
 pub mod registry;
 pub mod scenario_registry;
 pub mod table;
 
 pub use cache::{cache_key, CacheKey, KeyHasher, PolicyCache};
+pub use columns::Column;
 pub use harness::{
-    default_training_curriculum, parse_seed_spec, Aggregate, AggregateRow, EvalCell, EvalGrid,
+    default_training_curriculum, eval_episode, parse_seed_spec, Aggregate, EvalCell, EvalGrid,
     EvalPlan,
 };
-pub use registry::{trained_mrsch, BuildContext, MrschSpec, PolicySpec};
+pub use registry::{trained_mrsch, untrained_mrsch, BuildContext, MrschSpec, PolicySpec};
+pub use table::Table;
 pub use scenario_registry::{build_scenarios, ScenarioParseError, ScenarioSpec};

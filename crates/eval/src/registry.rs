@@ -325,8 +325,10 @@ pub fn trained_mrsch(ctx: &BuildContext<'_>, state_module: StateModuleKind) -> M
 /// The MRSch construction recipe without the training loop — the shared
 /// half of [`trained_mrsch`] and the policy cache's checkpoint-restore
 /// path ([`PolicySpec::build_cached`]), which must build the *identical*
-/// agent before loading cached weights into it.
-fn untrained_mrsch(ctx: &BuildContext<'_>, state_module: StateModuleKind) -> Mrsch {
+/// agent before loading cached weights into it. Public for drivers that
+/// run `train_with_curriculum` themselves to keep its per-round losses
+/// (Fig. 4).
+pub fn untrained_mrsch(ctx: &BuildContext<'_>, state_module: StateModuleKind) -> Mrsch {
     let episodes = ctx.train.map(|c| c.total_episodes()).unwrap_or(0).max(1) as f64;
     let mut cfg = ctx.dfp_config.cloned().unwrap_or_else(|| {
         let mut cfg =

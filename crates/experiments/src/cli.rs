@@ -1,66 +1,391 @@
-//! Command-line interface (`mrsch_cli`): train, evaluate and compare
-//! schedulers on SWF traces without writing Rust.
+//! Command-line interface (`mrsch_cli`): train, evaluate, compare and
+//! serve schedulers without writing Rust.
 //!
 //! ```text
-//! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 \
-//!           --policy fcfs|sjf|ljf|ga|mrsch [--window 10] [--seed 1] \
-//!           [--train-episodes 4] [--model out.ckpt | --load model.ckpt] \
-//!           [--curriculum clean|harden] [--workers N] \
-//!           [--cancel-frac F] [--overrun-frac F] [--drain-frac F] \
-//!           [--replay-swf-cancels | --replay-swf-cancels-faithful] \
-//!           [--snapshot-every N --snapshot-dir DIR]
-//!
-//! mrsch_cli resume --from DIR/shard-0000.snap [--policy fcfs|sjf|ljf|ga]
-//!
-//! mrsch_cli evaluate --policy fcfs,mrsch[,all,...] \
-//!           --scenario clean|cancel-heavy|overrun-heavy|drain|mixed \
-//!                      |dag:chain[:L]|dag:fanout[:W] \
-//!                      |bursty:diurnal[:PCT]|bursty:spike[:BOOST] \
-//!                      |energy:drain[,...] \
-//!           --seeds 0..4 [--workload S1] [--nodes N] [--bb B] [--window W] \
-//!           [--jobs N | --swf FILE] [--train-episodes K] [--workers N] \
-//!           [--policy-cache DIR [--require-warm-cache]] [--csv grid.csv]
+//! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 --policy mrsch
+//! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
+//! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
+//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8 --delay-us 2000
+//! mrsch_cli fig fig5
 //! ```
 //!
-//! `evaluate` runs the full registry-driven evaluation grid
-//! (`policies × scenarios × seeds`) through `mrsch_eval::EvalPlan` and
-//! prints the **seed-aggregated CSV** to stdout (`--csv` additionally
-//! writes the per-cell grid). `--scenario` takes scenario-registry
-//! spec strings (`mrsch_eval::ScenarioSpec`): the disruption presets,
-//! workflow-DAG families (`dag:chain:4`, `dag:fanout:3`), bursty open
-//! arrival streams (`bursty:diurnal:60`, `bursty:spike:6`) and
-//! `energy:drain`; `all` expands to the whole registry. Grid CSVs carry
-//! the per-episode critical-path lower bound (`cp_bound_s`), the
-//! relative regret against it, and metered energy (`energy_kwh`). `--curriculum harden` trains MRSch
-//! through the clean → cancel-heavy → drain-heavy scenario curriculum
-//! (episodes per phase = `--train-episodes`) with `--workers` parallel
-//! rollout threads; worker count never changes the result, only the
-//! wall-clock.
-//! `--policy-cache DIR` memoizes trained policies content-addressed by
-//! their full training configuration, so repeated grids skip training;
-//! `--require-warm-cache` fails the run if any cell had to retrain.
+//! Every subcommand is one entry of [`SUBCOMMANDS`]: a [`Flag`] table
+//! and an entry point. The table is what [`parse_flags`] matches argv
+//! against *and* what [`usage`] prints (`mrsch_cli <sub> --help`), so a
+//! flag cannot be accepted but undocumented, or documented but
+//! rejected; malformed input is a typed [`CliError`]. (No clap: the
+//! workspace vendors its dependencies.) A bare `mrsch_cli --swf …` is
+//! `simulate`.
 //!
-//! Argument parsing is hand-rolled (the offline dependency policy has no
-//! clap) and lives here, separately from the thin binary, so it is unit
-//! tested.
+//! `evaluate` runs the registry-driven grid (`policies × scenarios ×
+//! seeds`) through `mrsch_eval::EvalPlan` and prints the
+//! **seed-aggregated CSV** to stdout (`--csv` additionally writes the
+//! per-cell grid, which carries the per-episode critical-path lower
+//! bound `cp_bound_s`, the regret against it, and metered `energy_kwh`).
+//! `--scenario` takes scenario-registry spec strings
+//! (`mrsch_eval::ScenarioSpec`); `all` expands to the whole registry.
+//! `--policy-cache DIR` memoizes trained policies content-addressed by
+//! their full training configuration, so repeated grids skip training.
+//! `simulate --curriculum harden` trains MRSch through the clean →
+//! cancel-heavy → drain-heavy scenario curriculum (episodes per phase =
+//! `--train-episodes`); `--workers` never changes a result, only the
+//! wall-clock.
 
-use crate::csv;
+use crate::figures;
 use mrsch::prelude::*;
+use mrsch_eval::table::{self, Table};
 use mrsch_eval::{BuildContext, EvalPlan, PolicySpec};
-use mrsch_workload::disruption::{
-    swf_cancel_events, swf_relative_cancels, DisruptionConfig, DrainSpec,
-};
+use mrsch_serve::{server, BatcherConfig, EngineSpec, LoadgenConfig};
+use mrsch_workload::disruption::{swf_cancel_events, swf_relative_cancels};
 use mrsch_workload::swf::parse_swf;
 use mrsch_workload::theta::TraceJob;
-use mrsim::{InjectedEvent, SimTime};
+use mrsim::event::IndexedEventQueue;
+use mrsim::{ShardSpec, SimTime, SnapshotConfig};
+use std::fmt;
+use std::path::Path;
+use std::str::FromStr;
+use std::time::Duration;
 
-/// Parsed CLI invocation.
+// ---------------------------------------------------------------------------
+// Flag tables, the parser that reads them, and the usage text they print.
+// ---------------------------------------------------------------------------
+
+/// One flag of a subcommand.
+#[derive(Clone, Copy, Debug)]
+pub struct Flag {
+    /// The flag as typed (`--nodes`).
+    pub name: &'static str,
+    /// Name of its value in the usage text; `None` for a switch.
+    pub value: Option<&'static str>,
+    /// The value used when the flag is not given (shown in the usage).
+    pub default: Option<&'static str>,
+    /// One-line description.
+    pub help: &'static str,
+}
+
+const fn flag(
+    name: &'static str,
+    value: &'static str,
+    default: &'static str,
+    help: &'static str,
+) -> Flag {
+    Flag { name, value: Some(value), default: Some(default), help }
+}
+
+const fn optional(name: &'static str, value: &'static str, help: &'static str) -> Flag {
+    Flag { name, value: Some(value), default: None, help }
+}
+
+const fn switch(name: &'static str, help: &'static str) -> Flag {
+    Flag { name, value: None, default: None, help }
+}
+
+/// One `mrsch_cli` subcommand: its flags and its entry point.
+pub struct Subcommand {
+    /// Name on the command line.
+    pub name: &'static str,
+    /// One-line description.
+    pub about: &'static str,
+    /// Every flag it accepts.
+    pub flags: &'static [Flag],
+    /// Entry point over the arguments after the name.
+    pub run: fn(&[String]) -> Result<String, String>,
+}
+
+/// The four flag-driven subcommands (`fig <name>` takes no flags).
+pub const SUBCOMMANDS: [Subcommand; 4] = [
+    Subcommand {
+        name: "simulate",
+        about: "schedule an SWF trace under one policy and print the report",
+        flags: SIMULATE_FLAGS,
+        run: main_with_args,
+    },
+    Subcommand {
+        name: "resume",
+        about: "finish a run from a simulator checkpoint",
+        flags: RESUME_FLAGS,
+        run: resume_main,
+    },
+    Subcommand {
+        name: "evaluate",
+        about: "run a policy x scenario x seed grid; seed-aggregated CSV on stdout",
+        flags: EVALUATE_FLAGS,
+        run: evaluate_main,
+    },
+    Subcommand {
+        name: "serve",
+        about: "serve scheduling decisions over the line protocol",
+        flags: SERVE_FLAGS,
+        run: serve_main,
+    },
+];
+
+const POLICY_HELP: &str = "registry policy: fcfs, list:sjf|lpt|smallest|largest|demanding, ga, \
+                           ga:reseed, mrsch, mrsch:cnn (+ aliases sjf, ljf, heuristic, ...)";
+
+/// Flags of `simulate`.
+pub const SIMULATE_FLAGS: &[Flag] = &[
+    optional("--swf", "FILE", "SWF trace to schedule (required)"),
+    flag("--workload", "S1..S10", "S1", "workload spec extending the trace's jobs"),
+    flag("--nodes", "N", "256", "compute nodes"),
+    flag("--bb", "N", "75", "burst-buffer units"),
+    flag("--policy", "SPEC", "fcfs", POLICY_HELP),
+    flag("--window", "W", "10", "scheduling-window size"),
+    flag("--seed", "S", "1", "RNG seed"),
+    flag("--train-episodes", "K", "4", "mrsch: training episodes (per phase with --curriculum)"),
+    optional("--model", "OUT.ckpt", "mrsch: write the trained weights here"),
+    optional("--load", "IN.ckpt", "mrsch: load weights instead of training"),
+    optional("--curriculum", "clean|harden", "mrsch: train through a scenario curriculum"),
+    flag("--workers", "N", "1", "rollout threads for --curriculum (never changes results)"),
+    flag("--cancel-frac", "F", "0", "fraction of jobs cancelled by synthetic users"),
+    flag("--overrun-frac", "F", "0", "fraction overrunning their estimate (implies --enforce-walltime)"),
+    flag("--overrun-factor", "X", "1.5", "runtime multiplier of an overrunner, > 1"),
+    flag("--drain-frac", "F", "0", "fraction of nodes drained mid-trace"),
+    flag("--drain-start", "SECS", "0", "drain start time"),
+    flag("--drain-duration", "SECS", "0", "drain length (0 = permanent)"),
+    switch("--enforce-walltime", "kill jobs at their walltime estimate"),
+    optional("--tick", "SECS", "periodic tick for time-driven policies"),
+    switch("--replay-swf-cancels", "replay the trace's cancelled jobs at submit + recorded runtime"),
+    switch("--replay-swf-cancels-faithful", "... at simulated start + recorded runtime"),
+    optional("--snapshot-every", "N", "checkpoint every N event batches (with --snapshot-dir)"),
+    optional("--snapshot-dir", "DIR", "directory receiving shard-0000.snap"),
+];
+
+/// Flags of `resume`.
+pub const RESUME_FLAGS: &[Flag] = &[
+    optional("--from", "FILE", "checkpoint to continue, e.g. DIR/shard-0000.snap (required)"),
+    flag("--policy", "SPEC", "fcfs", "non-learning registry policy driving the rest of the run"),
+    flag("--seed", "S", "1", "RNG seed of --policy ga"),
+];
+
+/// Flags of `evaluate`.
+pub const EVALUATE_FLAGS: &[Flag] = &[
+    flag("--policy", "P1,P2|all", "fcfs", POLICY_HELP),
+    flag("--scenario", "S1,S2|all", "clean", "scenario-registry specs: clean, drain, dag:chain:4, ..."),
+    flag("--seeds", "A..B|S1,S2", "1", "grid seeds"),
+    flag("--workload", "S1..S10", "S1", "workload spec extending the jobs"),
+    flag("--nodes", "N", "64", "compute nodes"),
+    flag("--bb", "N", "20", "burst-buffer units"),
+    flag("--window", "W", "5", "scheduling-window size"),
+    flag("--jobs", "N", "80", "synthetic trace length (ignored with --swf)"),
+    flag("--seed", "S", "1", "scenario seed (job synthesis, disruption placement)"),
+    flag("--train-episodes", "K", "3", "training episodes of learnable policies"),
+    flag("--workers", "N", "1", "rollout threads of mrsch training (never changes results)"),
+    optional("--swf", "FILE", "SWF trace as the shared job source"),
+    optional("--csv", "GRID.csv", "also write the per-cell grid here"),
+    optional("--policy-cache", "DIR", "content-addressed cache of trained policies"),
+    switch("--require-warm-cache", "fail if any cell retrained (needs --policy-cache)"),
+];
+
+/// Flags of `serve`.
+pub const SERVE_FLAGS: &[Flag] = &[
+    flag("--mode", "stdin|tcp|loadtest", "stdin", "protocol lines on stdin/stdout, a TCP listener, or a seeded self-test"),
+    flag("--addr", "HOST:PORT", "127.0.0.1:7077", "tcp: listen address"),
+    flag("--policy", "SPEC", "mrsch", "DFP policy to serve: mrsch, mrsch:cnn"),
+    flag("--batch", "N", "8", "flush at queue depth N"),
+    flag("--delay-us", "MICROS", "2000", "... or once the oldest request has waited this long"),
+    flag("--queue-capacity", "N", "1024", "queue bound before shedding"),
+    flag("--workers", "N", "1", "batch worker threads"),
+    flag("--window", "W", "10", "engine: actions / scheduling window"),
+    flag("--nodes", "N", "256", "engine: compute nodes"),
+    flag("--bb", "N", "75", "engine: burst-buffer units"),
+    flag("--seed", "S", "1", "engine: init/training seed (and the load test's)"),
+    flag("--train-episodes", "E", "0", "engine: curriculum episodes (0 = untrained)"),
+    flag("--requests", "N", "200", "loadtest: requests to issue"),
+    flag("--qps", "Q", "500", "loadtest: mean open-arrival rate"),
+];
+
+/// Malformed command-line input.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CliError {
+    /// A flag the subcommand's table does not list.
+    UnknownFlag(String),
+    /// A value-taking flag at the end of the arguments.
+    MissingValue(&'static str),
+    /// A required flag that was not given.
+    MissingFlag(&'static str),
+    /// A value that does not parse or is out of range.
+    BadValue {
+        /// The flag.
+        flag: &'static str,
+        /// What was given.
+        value: String,
+        /// Why it was rejected.
+        reason: String,
+    },
+    /// Flags that contradict or need each other.
+    Conflict(String),
+}
+
+impl fmt::Display for CliError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            CliError::UnknownFlag(flag) => write!(f, "unknown flag '{flag}'"),
+            CliError::MissingValue(flag) => write!(f, "{flag} requires a value"),
+            CliError::MissingFlag(flag) => write!(f, "{flag} is required"),
+            CliError::BadValue { flag, value, reason } => write!(f, "{flag} '{value}': {reason}"),
+            CliError::Conflict(why) => f.write_str(why),
+        }
+    }
+}
+
+impl std::error::Error for CliError {}
+
+impl From<CliError> for String {
+    fn from(e: CliError) -> String {
+        e.to_string()
+    }
+}
+
+/// Arguments matched against a flag table.
+#[derive(Debug)]
+pub struct Matches<'a> {
+    flags: &'static [Flag],
+    given: Vec<(&'static Flag, &'a str)>,
+}
+
+/// Match `args` against `flags`: every argument must be a listed flag,
+/// followed by its value unless it is a switch. A repeated flag's last
+/// value wins.
+pub fn parse_flags<'a>(flags: &'static [Flag], args: &'a [String]) -> Result<Matches<'a>, CliError> {
+    let mut given = Vec::new();
+    let mut it = args.iter();
+    while let Some(arg) = it.next() {
+        let flag = flags
+            .iter()
+            .find(|f| f.name == arg)
+            .ok_or_else(|| CliError::UnknownFlag(arg.clone()))?;
+        let value = match flag.value {
+            Some(_) => it.next().ok_or(CliError::MissingValue(flag.name))?,
+            None => "",
+        };
+        given.push((flag, value));
+    }
+    Ok(Matches { flags, given })
+}
+
+impl Matches<'_> {
+    /// Was the flag given?
+    pub fn is_set(&self, name: &str) -> bool {
+        self.given.iter().any(|(f, _)| f.name == name)
+    }
+
+    /// The flag's value — as given, else the table default — through
+    /// `parse`; `None` when it has neither.
+    pub fn value<T>(
+        &self,
+        name: &str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<Option<T>, CliError> {
+        let flag = self.flags.iter().find(|f| f.name == name).expect("flag is in the table");
+        let given = self.given.iter().rev().find(|(f, _)| f.name == name).map(|(_, v)| *v);
+        let Some(raw) = given.or(flag.default) else { return Ok(None) };
+        parse(raw).map(Some).map_err(|reason| CliError::BadValue {
+            flag: flag.name,
+            value: raw.to_string(),
+            reason,
+        })
+    }
+
+    /// [`Matches::value`] of a flag that must be given or defaulted.
+    pub fn required<T>(
+        &self,
+        name: &'static str,
+        parse: impl FnOnce(&str) -> Result<T, String>,
+    ) -> Result<T, CliError> {
+        self.value(name, parse)?.ok_or(CliError::MissingFlag(name))
+    }
+
+}
+
+/// Any [`FromStr`] value.
+fn from_str<T: FromStr>(s: &str) -> Result<T, String>
+where
+    T::Err: fmt::Display,
+{
+    s.parse().map_err(|e: T::Err| e.to_string())
+}
+
+/// A count that must be at least 1 (machine sizes, windows, worker and
+/// batch counts: zero would panic deep inside the run).
+fn positive(s: &str) -> Result<u64, String> {
+    match from_str(s)? {
+        0 => Err("must be positive".into()),
+        n => Ok(n),
+    }
+}
+
+/// A fraction in `[0, 1]`.
+fn fraction(s: &str) -> Result<f64, String> {
+    match from_str(s)? {
+        x if (0.0..=1.0).contains(&x) => Ok(x),
+        _ => Err("must be in [0, 1]".into()),
+    }
+}
+
+/// A workload name ("s4" or "S4") resolved to its spec.
+fn workload(s: &str) -> Result<WorkloadSpec, String> {
+    let name = s.to_uppercase();
+    let mut all = WorkloadSpec::two_resource_suite();
+    all.extend(WorkloadSpec::three_resource_suite());
+    all.into_iter()
+        .find(|spec| spec.name == name)
+        .ok_or_else(|| format!("unknown workload '{name}' (expected S1..S10)"))
+}
+
+/// The usage text of one subcommand, generated from its flag table.
+pub fn usage_of(sub: &Subcommand) -> String {
+    let mut out = format!("mrsch_cli {} [flags] — {}\n", sub.name, sub.about);
+    for f in sub.flags {
+        let left = f.value.map_or(f.name.to_string(), |v| format!("{} {v}", f.name));
+        let default = f.default.map(|d| format!(" [{d}]")).unwrap_or_default();
+        out.push_str(&format!("  {left:<32} {}{default}\n", f.help));
+    }
+    out
+}
+
+/// The whole usage text: every subcommand, then the figure list.
+pub fn usage() -> String {
+    let mut out: String = SUBCOMMANDS.iter().map(|sub| usage_of(sub) + "\n").collect();
+    let figures: Vec<&str> = figures::FIGURES.iter().map(|(name, _)| *name).collect();
+    out.push_str(&format!(
+        "mrsch_cli fig <name> — regenerate a paper figure into results/<name>.csv\n  {}\n",
+        figures.join("|")
+    ));
+    out
+}
+
+/// The `mrsch_cli` entry point over everything after the program name:
+/// dispatch to a subcommand (a bare flag list is `simulate`), or print
+/// the usage for `--help` / `-h`.
+pub fn run(args: &[String]) -> Result<String, String> {
+    let sub = args.first().and_then(|a| SUBCOMMANDS.iter().find(|s| s.name == a));
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        return Ok(sub.map_or_else(usage, usage_of));
+    }
+    if let Some(sub) = sub {
+        return (sub.run)(&args[1..]);
+    }
+    match args {
+        [fig, name] if fig == "fig" => figures::run(name, Path::new("results"))
+            .map(|()| String::new())
+            .map_err(|e| e.to_string()),
+        [fig, ..] if fig == "fig" => Err("usage: mrsch_cli fig <name>".into()),
+        _ => main_with_args(args),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The `simulate` subcommand: one policy on one SWF trace.
+// ---------------------------------------------------------------------------
+
+/// Parsed `simulate` invocation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CliArgs {
     /// Path to the SWF trace.
     pub swf: String,
-    /// Workload name, "S1"…"S10".
-    pub workload: String,
+    /// Workload spec, "S1"…"S10".
+    pub workload: WorkloadSpec,
     /// Machine nodes.
     pub nodes: u64,
     /// Burst-buffer units.
@@ -69,8 +394,10 @@ pub struct CliArgs {
     /// ([`PolicySpec::parse`]) except `scalar-rl`, which only trains
     /// through `evaluate`'s curriculum.
     pub policy: PolicySpec,
-    /// Window size.
-    pub window: usize,
+    /// Simulator parameters: the window size, walltime enforcement
+    /// (required for overruns) and the periodic tick of time-driven
+    /// policies, with backfilling on.
+    pub params: SimParams,
     /// RNG seed.
     pub seed: u64,
     /// Training episodes before evaluation (MRSch only).
@@ -91,13 +418,8 @@ pub struct CliArgs {
     pub drain_start: SimTime,
     /// Drain duration in seconds (0 = permanent).
     pub drain_duration: SimTime,
-    /// Kill jobs at their walltime estimate (required for overruns).
-    pub enforce_walltime: bool,
-    /// Periodic tick interval for time-driven policies (seconds).
-    pub tick: Option<SimTime>,
     /// Replay the SWF trace's own cancelled-status jobs as cancels at
-    /// `submit + recorded_runtime` (the absolute-time proxy — the
-    /// pre-existing behavior, kept behind this pre-existing flag).
+    /// `submit + recorded_runtime` (the absolute-time proxy).
     pub replay_swf_cancels: bool,
     /// Replay SWF cancels wait-time-aware: each fires at
     /// `start + recorded_runtime` of the *simulated* run.
@@ -125,177 +447,73 @@ impl CliArgs {
 }
 
 /// Parse `simulate`-style arguments (everything after the subcommand).
-pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
-    let mut out = CliArgs {
-        swf: String::new(),
-        workload: "S1".into(),
-        nodes: 256,
-        bb: 75,
-        policy: PolicySpec::Fcfs,
-        window: 10,
-        seed: 1,
-        train_episodes: 4,
-        model_out: None,
-        model_in: None,
-        cancel_frac: 0.0,
-        overrun_frac: 0.0,
-        overrun_factor: 1.5,
-        drain_frac: 0.0,
-        drain_start: 0,
-        drain_duration: 0,
-        enforce_walltime: false,
-        tick: None,
-        replay_swf_cancels: false,
-        replay_swf_cancels_faithful: false,
-        curriculum: None,
-        workers: 1,
-        snapshot_every: None,
-        snapshot_dir: None,
+pub fn parse_args(args: &[String]) -> Result<CliArgs, CliError> {
+    let m = parse_flags(SIMULATE_FLAGS, args)?;
+    let out = CliArgs {
+        swf: m.required("--swf", from_str)?,
+        workload: m.required("--workload", workload)?,
+        nodes: m.required("--nodes", positive)?,
+        bb: m.required("--bb", positive)?,
+        policy: m.required("--policy", PolicySpec::parse)?,
+        params: SimParams {
+            // Overruns are pointless unless the walltime is enforced.
+            enforce_walltime: m.is_set("--enforce-walltime") || m.is_set("--overrun-frac"),
+            tick: m.value("--tick", from_str)?,
+            ..SimParams::new(m.required("--window", positive)? as usize, true)
+        },
+        seed: m.required("--seed", from_str)?,
+        train_episodes: m.required("--train-episodes", from_str)?,
+        model_out: m.value("--model", from_str)?,
+        model_in: m.value("--load", from_str)?,
+        cancel_frac: m.required("--cancel-frac", fraction)?,
+        overrun_frac: m.required("--overrun-frac", fraction)?,
+        overrun_factor: m.required("--overrun-factor", |s| match from_str(s)? {
+            x if x > 1.0 => Ok(x),
+            _ => Err("must exceed 1".into()),
+        })?,
+        drain_frac: m.required("--drain-frac", fraction)?,
+        drain_start: m.required("--drain-start", from_str)?,
+        drain_duration: m.required("--drain-duration", from_str)?,
+        replay_swf_cancels: m.is_set("--replay-swf-cancels"),
+        replay_swf_cancels_faithful: m.is_set("--replay-swf-cancels-faithful"),
+        curriculum: m.value("--curriculum", |s| match s.to_lowercase().as_str() {
+            c @ ("clean" | "harden") => Ok(c.to_string()),
+            _ => Err("expected clean|harden".into()),
+        })?,
+        workers: m.required("--workers", positive)? as usize,
+        snapshot_every: m.value("--snapshot-every", positive)?,
+        snapshot_dir: m.value("--snapshot-dir", from_str)?,
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--swf" => out.swf = value("--swf")?,
-            "--workload" => out.workload = value("--workload")?.to_uppercase(),
-            "--nodes" => {
-                out.nodes = value("--nodes")?.parse().map_err(|_| "--nodes: not a number")?
-            }
-            "--bb" => out.bb = value("--bb")?.parse().map_err(|_| "--bb: not a number")?,
-            "--policy" => out.policy = PolicySpec::parse(&value("--policy")?)?,
-            "--window" => {
-                out.window =
-                    value("--window")?.parse().map_err(|_| "--window: not a number")?
-            }
-            "--seed" => {
-                out.seed = value("--seed")?.parse().map_err(|_| "--seed: not a number")?
-            }
-            "--train-episodes" => {
-                out.train_episodes = value("--train-episodes")?
-                    .parse()
-                    .map_err(|_| "--train-episodes: not a number")?
-            }
-            "--model" => out.model_out = Some(value("--model")?),
-            "--load" => out.model_in = Some(value("--load")?),
-            "--cancel-frac" => {
-                out.cancel_frac =
-                    value("--cancel-frac")?.parse().map_err(|_| "--cancel-frac: not a number")?
-            }
-            "--overrun-frac" => {
-                out.overrun_frac = value("--overrun-frac")?
-                    .parse()
-                    .map_err(|_| "--overrun-frac: not a number")?;
-                out.enforce_walltime = true; // overruns are pointless otherwise
-            }
-            "--overrun-factor" => {
-                out.overrun_factor = value("--overrun-factor")?
-                    .parse()
-                    .map_err(|_| "--overrun-factor: not a number")?
-            }
-            "--drain-frac" => {
-                out.drain_frac =
-                    value("--drain-frac")?.parse().map_err(|_| "--drain-frac: not a number")?
-            }
-            "--drain-start" => {
-                out.drain_start =
-                    value("--drain-start")?.parse().map_err(|_| "--drain-start: not a number")?
-            }
-            "--drain-duration" => {
-                out.drain_duration = value("--drain-duration")?
-                    .parse()
-                    .map_err(|_| "--drain-duration: not a number")?
-            }
-            "--enforce-walltime" => out.enforce_walltime = true,
-            "--tick" => {
-                out.tick =
-                    Some(value("--tick")?.parse().map_err(|_| "--tick: not a number")?)
-            }
-            "--replay-swf-cancels" => out.replay_swf_cancels = true,
-            "--replay-swf-cancels-faithful" => out.replay_swf_cancels_faithful = true,
-            "--curriculum" => out.curriculum = Some(value("--curriculum")?.to_lowercase()),
-            "--workers" => {
-                out.workers =
-                    value("--workers")?.parse().map_err(|_| "--workers: not a number")?
-            }
-            "--snapshot-every" => {
-                out.snapshot_every = Some(
-                    value("--snapshot-every")?
-                        .parse()
-                        .map_err(|_| "--snapshot-every: not a number")?,
-                )
-            }
-            "--snapshot-dir" => out.snapshot_dir = Some(value("--snapshot-dir")?),
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
     if out.snapshot_every.is_some() != out.snapshot_dir.is_some() {
-        return Err("--snapshot-every and --snapshot-dir must be given together".into());
-    }
-    if out.snapshot_every == Some(0) {
-        return Err("--snapshot-every must be positive".into());
+        return Err(CliError::Conflict(
+            "--snapshot-every and --snapshot-dir must be given together".into(),
+        ));
     }
     if out.policy == PolicySpec::ScalarRl {
-        return Err("scalar-rl trains on a scenario curriculum; run it through `evaluate`".into());
+        return Err(CliError::Conflict(
+            "scalar-rl trains on a scenario curriculum; run it through `evaluate`".into(),
+        ));
     }
     if out.snapshot_every.is_some() && out.policy.is_learnable() {
-        return Err(
+        return Err(CliError::Conflict(
             "--snapshot-every checkpoints the simulator, not a learning agent; \
              use it with fcfs|sjf|ljf|ga"
                 .into(),
-        );
+        ));
     }
-    if out.swf.is_empty() {
-        return Err("--swf <file> is required".into());
-    }
-    if out.window == 0 {
-        return Err("--window must be positive".into());
-    }
-    if out.workers == 0 {
-        return Err("--workers must be positive".into());
-    }
-    if let Some(c) = &out.curriculum {
-        if !["clean", "harden"].contains(&c.as_str()) {
-            return Err(format!("unknown curriculum '{c}' (expected clean|harden)"));
-        }
-    }
-    for (flag, v) in [
-        ("--cancel-frac", out.cancel_frac),
-        ("--overrun-frac", out.overrun_frac),
-        ("--drain-frac", out.drain_frac),
-    ] {
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{flag} must be in [0, 1]"));
-        }
-    }
-    if out.overrun_factor <= 1.0 {
-        return Err("--overrun-factor must exceed 1".into());
-    }
-    find_spec(&out.workload)?;
     Ok(out)
 }
 
-/// Resolve a workload name to its spec.
-pub fn find_spec(name: &str) -> Result<WorkloadSpec, String> {
-    let mut all = WorkloadSpec::two_resource_suite();
-    all.extend(WorkloadSpec::three_resource_suite());
-    all.into_iter()
-        .find(|s| s.name == name)
-        .ok_or_else(|| format!("unknown workload '{name}' (expected S1..S10)"))
-}
-
-/// Build the evaluation disruption set for a parsed invocation: the
-/// (possibly overrun-modified) jobs, the events to inject, and any
-/// wait-time-aware relative cancels (faithful SWF replay).
-fn disruptions_for(
-    args: &CliArgs,
-    jobs: Vec<Job>,
-    system: &SystemConfig,
-    trace: &[TraceJob],
-) -> (Vec<Job>, Vec<InjectedEvent>, Vec<(usize, SimTime)>) {
+/// The evaluation run of a parsed invocation as one shard: the
+/// workload's jobs on the resolved system, with the disruption set the
+/// flags ask for (overrun-inflated runtimes, injected events, and
+/// wait-time-aware relative cancels for the faithful SWF replay).
+fn shard_for(args: &CliArgs, trace: &[TraceJob]) -> ShardSpec {
+    let system = args.workload.system_for(&SystemConfig::two_resource(args.nodes, args.bb));
+    let jobs = args.workload.build(trace, &system, args.seed);
+    let mut shard = ShardSpec::new(system, jobs, args.params);
     if !args.disruptions_enabled() {
-        return (jobs, Vec::new(), Vec::new());
+        return shard;
     }
     let mut drains = Vec::new();
     if args.drain_frac > 0.0 {
@@ -312,14 +530,14 @@ fn disruptions_for(
         overrun_factor: args.overrun_factor,
         drains,
     };
-    let mut disrupted = cfg.synthesize(&jobs, system, args.seed ^ 0x5eed);
-    let mut relative = Vec::new();
+    let disrupted = cfg.synthesize(&shard.jobs, &shard.config, args.seed ^ 0x5eed);
+    (shard.jobs, shard.events) = (disrupted.jobs, disrupted.events);
     if args.replay_swf_cancels_faithful {
-        relative = swf_relative_cancels(&disrupted.jobs, trace);
+        shard.relative_cancels = swf_relative_cancels(&shard.jobs, trace);
     } else if args.replay_swf_cancels {
-        disrupted.events.extend(swf_cancel_events(&disrupted.jobs, trace));
+        shard.events.extend(swf_cancel_events(&shard.jobs, trace));
     }
-    (disrupted.jobs, disrupted.events, relative)
+    shard
 }
 
 /// The disruption-hardening curriculum a `--curriculum harden` run
@@ -331,11 +549,7 @@ fn cli_curriculum(args: &CliArgs, train_trace: &[TraceJob], spec: &WorkloadSpec)
         "clean",
         JobSource::Trace(train_trace.to_vec()),
         spec.clone(),
-        SimParams {
-            enforce_walltime: args.enforce_walltime,
-            tick: args.tick,
-            ..SimParams::new(args.window, true)
-        },
+        args.params,
     )
     .with_seed(args.seed ^ 0xc0a1);
     if args.curriculum.as_deref() == Some("clean") {
@@ -365,136 +579,110 @@ fn cli_curriculum(args: &CliArgs, train_trace: &[TraceJob], spec: &WorkloadSpec)
     )
 }
 
+/// The MRSch agent of a `simulate` run: weights from `--load`, else
+/// trained on the first 60 % of the trace (the run evaluates all of it);
+/// saved to `--model` either way.
+fn cli_agent(
+    args: &CliArgs,
+    state_module: StateModuleKind,
+    system: &SystemConfig,
+    trace: &[TraceJob],
+) -> Result<Mrsch, String> {
+    let mut agent = MrschBuilder::new(system.clone(), args.params)
+        .seed(args.seed)
+        .state_module(state_module)
+        .trainer(TrainerConfig::default().workers(args.workers))
+        .build();
+    let train_trace = &trace[..(trace.len() * 3 / 5).max(1)];
+    if let Some(path) = &args.model_in {
+        let data = std::fs::read(path).map_err(|e| format!("--load: {e}"))?;
+        agent
+            .agent_mut()
+            .network_mut()
+            .load_checkpoint(&data)
+            .map_err(|e| format!("--load: {e}"))?;
+    } else if args.curriculum.is_some() {
+        agent.train_with_curriculum(&cli_curriculum(args, train_trace, &args.workload));
+    } else {
+        let train_jobs = args.workload.build(train_trace, system, args.seed + 1);
+        for _ in 0..args.train_episodes {
+            agent.train_episode(&train_jobs);
+        }
+    }
+    if let Some(path) = &args.model_out {
+        let ckpt = agent.agent_mut().network_mut().save_checkpoint();
+        std::fs::write(path, &ckpt).map_err(|e| format!("--model: {e}"))?;
+    }
+    Ok(agent)
+}
+
 /// Run a parsed invocation over an already-loaded trace, returning the
 /// simulator report (separated from I/O for testability).
 pub fn run_on_trace(args: &CliArgs, trace: &[TraceJob]) -> Result<SimReport, String> {
-    let spec = find_spec(&args.workload)?;
-    let base = SystemConfig::two_resource(args.nodes, args.bb);
-    let system = spec.system_for(&base);
-    let jobs = spec.build(trace, &system, args.seed);
-    let (jobs, events, relative_cancels) = disruptions_for(args, jobs, &system, trace);
-    let params = SimParams {
-        enforce_walltime: args.enforce_walltime,
-        tick: args.tick,
-        ..SimParams::new(args.window, true)
-    };
-    let run_baseline = |policy: &mut dyn Policy| -> Result<SimReport, String> {
-        let mut sim =
-            Simulator::new(system.clone(), jobs.clone(), params).map_err(|e| e.to_string())?;
-        sim.inject_all(&events).map_err(|e| e.to_string())?;
-        for &(id, delay) in &relative_cancels {
-            sim.schedule_cancel_after_start(id, delay).map_err(|e| e.to_string())?;
-        }
-        let (Some(every), Some(dir)) = (args.snapshot_every, &args.snapshot_dir) else {
-            return Ok(sim.run(policy));
-        };
-        // Checkpointed run: step batch-by-batch, rewriting the single-
-        // shard snapshot every `every` batches (resume with
-        // `mrsch_cli resume --from DIR/shard-0000.snap`).
-        let dir = std::path::Path::new(dir);
-        let mut batches = 0u64;
-        while sim.step(policy) {
-            batches += 1;
-            if batches % every == 0 {
-                mrsim::write_shard_snapshot(dir, 0, &sim)
-                    .map_err(|e| format!("--snapshot-dir {}: {e}", dir.display()))?;
-            }
-        }
-        let report = sim.final_report();
-        policy.episode_end(&report);
-        Ok(report)
-    };
-    let report = match &args.policy {
+    let shard = shard_for(args, trace);
+    let policy: Box<dyn Policy + Send> = match &args.policy {
         PolicySpec::Mrsch(spec) => {
-            let mut agent = MrschBuilder::new(system.clone(), params)
-                .seed(args.seed)
-                .state_module(spec.state_module)
-                .trainer(TrainerConfig::default().workers(args.workers))
-                .build();
-            if let Some(path) = &args.model_in {
-                let data = std::fs::read(path).map_err(|e| format!("--load: {e}"))?;
-                agent
-                    .agent_mut()
-                    .network_mut()
-                    .load_checkpoint(&data)
-                    .map_err(|e| format!("--load: {e}"))?;
-            } else {
-                // Train on the first 60% of the trace, evaluate on all of it.
-                let cut = trace.len() * 3 / 5;
-                let train_spec = find_spec(&args.workload)?;
-                if args.curriculum.is_some() {
-                    let curriculum =
-                        cli_curriculum(args, &trace[..cut.max(1)], &train_spec);
-                    agent.train_with_curriculum(&curriculum);
-                } else {
-                    let train_jobs = train_spec.build(
-                        &trace[..cut.max(1)],
-                        agent.system(),
-                        args.seed + 1,
-                    );
-                    for _ in 0..args.train_episodes {
-                        agent.train_episode(&train_jobs);
-                    }
-                }
-            }
-            if let Some(path) = &args.model_out {
-                let ckpt = agent.agent_mut().network_mut().save_checkpoint();
-                std::fs::write(path, &ckpt).map_err(|e| format!("--model: {e}"))?;
-            }
-            agent
-                .evaluate_disrupted_replay(&jobs, &events, &relative_cancels)
-                .map_err(|e| e.to_string())?
+            Box::new(cli_agent(args, spec.state_module, &shard.config, trace)?.into_eval_policy())
         }
-        baseline => run_baseline(
-            baseline.build(&BuildContext::new(&system, params, args.seed)).as_mut(),
-        )?,
+        baseline => baseline.build(&BuildContext::new(&shard.config, args.params, args.seed)),
     };
-    Ok(report)
+    // With `--snapshot-every`, the run rewrites the single-shard
+    // checkpoint every N event batches (resume with
+    // `mrsch_cli resume --from DIR/shard-0000.snap`).
+    let snapshots = args.snapshot_every.zip(args.snapshot_dir.as_ref());
+    let snapshots = snapshots.map(|(every, dir)| SnapshotConfig { every, dir: dir.into() });
+    mrsim::run_shard::<IndexedEventQueue>(&shard, 0, snapshots.as_ref(), policy)
+        .map_err(|e| e.to_string())
+}
+
+/// Load an SWF trace, rejecting an unreadable or empty one.
+fn load_swf(path: &str) -> Result<Vec<TraceJob>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let trace = parse_swf(&text).map_err(|e| e.to_string())?;
+    if trace.is_empty() {
+        return Err("trace contains no usable jobs".into());
+    }
+    Ok(trace)
 }
 
 /// Full entry point: load the SWF, run, and render the report.
 pub fn main_with_args(args: &[String]) -> Result<String, String> {
     let parsed = parse_args(args)?;
-    let text = std::fs::read_to_string(&parsed.swf)
-        .map_err(|e| format!("reading {}: {e}", parsed.swf))?;
-    let trace = parse_swf(&text).map_err(|e| e.to_string())?;
-    if trace.is_empty() {
-        return Err("trace contains no usable jobs".into());
-    }
-    let report = run_on_trace(&parsed, &trace)?;
-    Ok(render_report(&parsed, &report))
+    let report = run_on_trace(&parsed, &load_swf(&parsed.swf)?)?;
+    let headline = format!("policy={} workload={}", parsed.policy.name(), parsed.workload.name);
+    Ok(render_report(&headline, &report))
 }
 
-/// Render a report as the CLI's output table.
-pub fn render_report(args: &CliArgs, report: &SimReport) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "policy={} workload={} jobs={} makespan={}s\n",
-        args.policy.name(), args.workload, report.jobs_completed, report.makespan
-    ));
+/// Render a report under `headline` — the output of both `simulate` and
+/// `resume`. The disruption line appears only when something was
+/// cancelled, killed, left unfinished or drained.
+pub fn render_report(headline: &str, report: &SimReport) -> String {
+    let mut out =
+        format!("{headline} jobs={} makespan={}s\n", report.jobs_completed, report.makespan);
     for (name, util) in report.resource_names.iter().zip(&report.resource_utilization) {
-        out.push_str(&format!("  {name:<18} utilization {}\n", csv::f(*util)));
+        out.push_str(&format!("  {name:<18} utilization {}\n", table::f(*util)));
     }
     out.push_str(&format!(
         "  avg wait {} h | max wait {} h | avg slowdown {} | backfilled {}\n",
-        csv::f(report.avg_wait_hours()),
-        csv::f(report.max_wait as f64 / 3600.0),
-        csv::f(report.avg_slowdown),
+        table::f(report.avg_wait_hours()),
+        table::f(report.max_wait as f64 / 3600.0),
+        table::f(report.avg_slowdown),
         report.backfilled_jobs
     ));
-    if report.jobs_cancelled + report.jobs_killed > 0
+    if report.jobs_cancelled + report.jobs_killed + report.jobs_unfinished > 0
         || report.capacity_lost_unit_seconds.iter().any(|&l| l > 0.0)
     {
         let lost: Vec<String> = report
             .resource_names
             .iter()
             .zip(&report.capacity_lost_unit_seconds)
-            .map(|(n, l)| format!("{n}={}", csv::f(*l)))
+            .map(|(n, l)| format!("{n}={}", table::f(*l)))
             .collect();
         out.push_str(&format!(
-            "  disruptions: cancelled {} | killed {} | lost unit-seconds {}\n",
+            "  disruptions: cancelled {} | killed {} | unfinished {} | lost unit-seconds {}\n",
             report.jobs_cancelled,
             report.jobs_killed,
+            report.jobs_unfinished,
             lost.join(" ")
         ));
     }
@@ -520,31 +708,19 @@ pub struct ResumeArgs {
 }
 
 /// Parse `resume`-style arguments (everything after the subcommand).
-pub fn parse_resume_args(args: &[String]) -> Result<ResumeArgs, String> {
-    let mut out = ResumeArgs { from: String::new(), policy: PolicySpec::Fcfs, seed: 1 };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--from" => out.from = value("--from")?,
-            "--policy" => out.policy = PolicySpec::parse(&value("--policy")?)?,
-            "--seed" => {
-                out.seed = value("--seed")?.parse().map_err(|_| "--seed: not a number")?
-            }
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
-    if out.from.is_empty() {
-        return Err("--from <snapshot file> is required".into());
-    }
+pub fn parse_resume_args(args: &[String]) -> Result<ResumeArgs, CliError> {
+    let m = parse_flags(RESUME_FLAGS, args)?;
+    let out = ResumeArgs {
+        from: m.required("--from", from_str)?,
+        policy: m.required("--policy", PolicySpec::parse)?,
+        seed: m.required("--seed", from_str)?,
+    };
     if out.policy.is_learnable() {
-        return Err(format!(
+        return Err(CliError::Conflict(format!(
             "resume does not support {} (agent weights are not part of a simulator \
              snapshot); use fcfs|sjf|ljf|ga",
             out.policy.name()
-        ));
+        )));
     }
     Ok(out)
 }
@@ -565,23 +741,8 @@ pub fn resume_run(args: &ResumeArgs) -> Result<SimReport, String> {
 /// Full `resume` entry point: restore, finish the run, render.
 pub fn resume_main(args: &[String]) -> Result<String, String> {
     let parsed = parse_resume_args(args)?;
-    let report = resume_run(&parsed)?;
-    let mut out = format!(
-        "resumed {} policy={} jobs={} makespan={}s\n",
-        parsed.from, parsed.policy.name(), report.jobs_completed, report.makespan
-    );
-    for (name, util) in report.resource_names.iter().zip(&report.resource_utilization) {
-        out.push_str(&format!("  {name:<18} utilization {}\n", csv::f(*util)));
-    }
-    out.push_str(&format!(
-        "  avg wait {} h | avg slowdown {} | cancelled {} | killed {} | unfinished {}\n",
-        csv::f(report.avg_wait_hours()),
-        csv::f(report.avg_slowdown),
-        report.jobs_cancelled,
-        report.jobs_killed,
-        report.jobs_unfinished
-    ));
-    Ok(out)
+    let headline = format!("resumed {} policy={}", parsed.from, parsed.policy.name());
+    Ok(render_report(&headline, &resume_run(&parsed)?))
 }
 
 // ---------------------------------------------------------------------------
@@ -598,8 +759,8 @@ pub struct EvalCliArgs {
     pub scenarios: String,
     /// Grid seeds.
     pub seeds: Vec<u64>,
-    /// Workload spec name ("S1"…"S10").
-    pub workload: String,
+    /// Workload spec ("S1"…"S10").
+    pub workload: WorkloadSpec,
     /// Machine nodes.
     pub nodes: u64,
     /// Burst-buffer units.
@@ -625,89 +786,40 @@ pub struct EvalCliArgs {
 }
 
 /// Parse `evaluate`-style arguments (everything after the subcommand).
-pub fn parse_eval_args(args: &[String]) -> Result<EvalCliArgs, String> {
-    let mut out = EvalCliArgs {
-        policies: vec![PolicySpec::Fcfs],
-        scenarios: "clean".into(),
-        seeds: vec![1],
-        workload: "S1".into(),
-        nodes: 64,
-        bb: 20,
-        window: 5,
-        jobs: 80,
-        seed: 1,
-        train_episodes: 3,
-        workers: 1,
-        swf: None,
-        csv_out: None,
-        policy_cache: None,
-        require_warm_cache: false,
+pub fn parse_eval_args(args: &[String]) -> Result<EvalCliArgs, CliError> {
+    let m = parse_flags(EVALUATE_FLAGS, args)?;
+    let out = EvalCliArgs {
+        policies: m.required("--policy", |s| match PolicySpec::parse_list(s)? {
+            list if list.is_empty() => Err("needs at least one policy".into()),
+            list => Ok(list),
+        })?,
+        scenarios: m.required("--scenario", from_str)?,
+        seeds: m.required("--seeds", mrsch_eval::parse_seed_spec)?,
+        workload: m.required("--workload", workload)?,
+        nodes: m.required("--nodes", positive)?,
+        bb: m.required("--bb", positive)?,
+        window: m.required("--window", positive)? as usize,
+        jobs: m.required("--jobs", positive)? as usize,
+        seed: m.required("--seed", from_str)?,
+        train_episodes: m.required("--train-episodes", from_str)?,
+        workers: m.required("--workers", positive)? as usize,
+        swf: m.value("--swf", from_str)?,
+        csv_out: m.value("--csv", from_str)?,
+        policy_cache: m.value("--policy-cache", from_str)?,
+        require_warm_cache: m.is_set("--require-warm-cache"),
     };
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| -> Result<String, String> {
-            it.next().cloned().ok_or_else(|| format!("{name} requires a value"))
-        };
-        match flag.as_str() {
-            "--policy" => out.policies = PolicySpec::parse_list(&value("--policy")?)?,
-            "--scenario" => out.scenarios = value("--scenario")?,
-            "--seeds" => out.seeds = mrsch_eval::parse_seed_spec(&value("--seeds")?)?,
-            "--workload" => out.workload = value("--workload")?.to_uppercase(),
-            "--nodes" => {
-                out.nodes = value("--nodes")?.parse().map_err(|_| "--nodes: not a number")?
-            }
-            "--bb" => out.bb = value("--bb")?.parse().map_err(|_| "--bb: not a number")?,
-            "--window" => {
-                out.window = value("--window")?.parse().map_err(|_| "--window: not a number")?
-            }
-            "--jobs" => {
-                out.jobs = value("--jobs")?.parse().map_err(|_| "--jobs: not a number")?
-            }
-            "--seed" => {
-                out.seed = value("--seed")?.parse().map_err(|_| "--seed: not a number")?
-            }
-            "--train-episodes" => {
-                out.train_episodes = value("--train-episodes")?
-                    .parse()
-                    .map_err(|_| "--train-episodes: not a number")?
-            }
-            "--workers" => {
-                out.workers =
-                    value("--workers")?.parse().map_err(|_| "--workers: not a number")?
-            }
-            "--swf" => out.swf = Some(value("--swf")?),
-            "--csv" => out.csv_out = Some(value("--csv")?),
-            "--policy-cache" => out.policy_cache = Some(value("--policy-cache")?),
-            "--require-warm-cache" => out.require_warm_cache = true,
-            other => return Err(format!("unknown flag '{other}'")),
-        }
-    }
     if out.require_warm_cache && out.policy_cache.is_none() {
-        return Err("--require-warm-cache requires --policy-cache".into());
+        return Err(CliError::Conflict("--require-warm-cache requires --policy-cache".into()));
     }
-    if out.policies.is_empty() {
-        return Err("--policy needs at least one policy".into());
-    }
-    if out.window == 0 {
-        return Err("--window must be positive".into());
-    }
-    if out.jobs == 0 {
-        return Err("--jobs must be positive".into());
-    }
-    if out.workers == 0 {
-        return Err("--workers must be positive".into());
-    }
-    find_spec(&out.workload)?;
     Ok(out)
 }
 
 /// Build the [`EvalPlan`] of a parsed `evaluate` invocation over an
 /// explicit job source (separated from I/O for testability).
 pub fn build_eval_plan(args: &EvalCliArgs, source: JobSource) -> Result<EvalPlan, String> {
-    let spec = find_spec(&args.workload)?;
     let params = SimParams::new(args.window, true);
     let scenarios =
-        mrsch_eval::build_scenarios(&args.scenarios, &source, &spec, params, args.seed)
+        mrsch_eval::build_scenarios(&args.scenarios, &source, &args.workload, params, args.seed)
             .map_err(|e| e.to_string())?;
     // Names are the grid's coordinates; report duplicates (easy to hit
     // through aliases like `fcfs,heuristic`) as clean CLI errors rather
@@ -743,15 +855,7 @@ fn reject_duplicates(flag: &str, names: impl Iterator<Item = String>) -> Result<
 pub fn evaluate_main(args: &[String]) -> Result<String, String> {
     let parsed = parse_eval_args(args)?;
     let source = match &parsed.swf {
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("reading {path}: {e}"))?;
-            let trace = parse_swf(&text).map_err(|e| e.to_string())?;
-            if trace.is_empty() {
-                return Err("trace contains no usable jobs".into());
-            }
-            JobSource::Trace(trace)
-        }
+        Some(path) => JobSource::Trace(load_swf(path)?),
         None => JobSource::Theta(ThetaConfig {
             machine_nodes: parsed.nodes,
             ..ThetaConfig::scaled(parsed.jobs)
@@ -783,20 +887,130 @@ pub fn evaluate_main(args: &[String]) -> Result<String, String> {
     }
     if let Some(path) = &parsed.csv_out {
         let (header, rows) = grid.cell_csv();
-        csv::write_csv_to(path, &header, &rows).map_err(|e| format!("--csv {path}: {e}"))?;
+        Table::new("", header, rows)
+            .write_csv(Path::new(path))
+            .map_err(|e| format!("--csv {path}: {e}"))?;
         eprintln!("wrote per-cell grid ({} cells) to {path}", grid.cells.len());
     }
     let (header, rows) = grid.aggregate_csv();
-    Ok(csv::to_csv(&header, &rows))
+    Ok(table::to_csv(&header, &rows))
+}
+
+// ---------------------------------------------------------------------------
+// The `serve` subcommand: the decision service of `mrsch-serve`.
+// ---------------------------------------------------------------------------
+
+/// How `serve` receives requests.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ServeMode {
+    /// Protocol lines on stdin, replies on stdout.
+    Stdin,
+    /// Connections accepted on `--addr`.
+    Tcp,
+    /// The seeded open-arrival self-test.
+    Loadtest,
+}
+
+/// Parsed `serve` invocation.
+#[derive(Clone, Debug)]
+pub struct ServeArgs {
+    /// Transport.
+    pub mode: ServeMode,
+    /// TCP listen address.
+    pub addr: String,
+    /// Micro-batching knobs.
+    pub batcher: BatcherConfig,
+    /// What network to build (and optionally train) — the policy is
+    /// resolved through the registry, so `serve` and `evaluate` can
+    /// never disagree about a spec string.
+    pub engine: EngineSpec,
+    /// Load-test shape.
+    pub load: LoadgenConfig,
+}
+
+/// Parse `serve`-style arguments (everything after the subcommand).
+pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
+    let m = parse_flags(SERVE_FLAGS, args)?;
+    let seed = m.required("--seed", from_str)?;
+    Ok(ServeArgs {
+        mode: m.required("--mode", |s| match s {
+            "stdin" => Ok(ServeMode::Stdin),
+            "tcp" => Ok(ServeMode::Tcp),
+            "loadtest" => Ok(ServeMode::Loadtest),
+            _ => Err("unknown mode (expected stdin|tcp|loadtest)".into()),
+        })?,
+        addr: m.required("--addr", from_str)?,
+        batcher: BatcherConfig {
+            max_batch: m.required("--batch", positive)? as usize,
+            max_delay: Duration::from_micros(m.required("--delay-us", from_str)?),
+            queue_capacity: m.required("--queue-capacity", from_str)?,
+            workers: m.required("--workers", positive)? as usize,
+        },
+        engine: EngineSpec {
+            window: m.required("--window", positive)? as usize,
+            nodes: m.required("--nodes", positive)?,
+            bb: m.required("--bb", positive)?,
+            seed,
+            train_episodes: m.required("--train-episodes", from_str)?,
+            state_module: m.required("--policy", |s| match PolicySpec::parse(s)? {
+                PolicySpec::Mrsch(spec) => Ok(spec.state_module),
+                other => Err(format!(
+                    "'{}' is not a servable network (serve a DFP policy: mrsch, mrsch:cnn)",
+                    other.name()
+                )),
+            })?,
+            ..EngineSpec::default()
+        },
+        load: LoadgenConfig {
+            requests: m.required("--requests", from_str)?,
+            target_qps: m.required("--qps", from_str)?,
+            seed,
+        },
+    })
+}
+
+/// Full `serve` entry point: build the engine, run the requested mode,
+/// return its summary line.
+pub fn serve_main(args: &[String]) -> Result<String, String> {
+    let ServeArgs { mode, addr, batcher, engine, load } = parse_serve_args(args)?;
+    let engine = mrsch_serve::build_engine(&engine);
+    let summary = match mode {
+        ServeMode::Stdin => server::run_stdin(engine, batcher)?,
+        ServeMode::Tcp => server::run_tcp(engine, batcher, &addr)?,
+        ServeMode::Loadtest => {
+            let report = server::run_loadtest(engine, batcher, &load);
+            format!(
+                "loadtest: {} requests at {:.0} qps target -> {} answered, {} dropped | \
+                 latency p50={}us p95={}us p99={}us mean={}us max={}us | \
+                 achieved {:.0} qps, mean batch {:.2}",
+                load.requests,
+                load.target_qps,
+                report.total,
+                report.dropped,
+                report.p50_ns / 1_000,
+                report.p95_ns / 1_000,
+                report.p99_ns / 1_000,
+                report.mean_ns / 1_000,
+                report.max_ns / 1_000,
+                report.qps,
+                report.mean_batch,
+            )
+        }
+    };
+    Ok(summary + "\n")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrsch_workload::theta::{SwfStatus, ThetaConfig};
+    use mrsch_workload::theta::SwfStatus;
 
     fn args(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
+    }
+
+    fn argv(s: &str) -> Vec<String> {
+        s.split_whitespace().map(String::from).collect()
     }
 
     #[test]
@@ -807,10 +1021,10 @@ mod tests {
             "--train-episodes", "2", "--model", "out.ckpt",
         ]))
         .unwrap();
-        assert_eq!(a.workload, "S4");
+        assert_eq!(a.workload, WorkloadSpec::s4());
         assert_eq!(a.nodes, 64);
         assert_eq!(a.policy, PolicySpec::mrsch());
-        assert_eq!(a.window, 5);
+        assert_eq!(a.params.window, 5);
         assert_eq!(a.model_out.as_deref(), Some("out.ckpt"));
     }
 
@@ -874,9 +1088,9 @@ mod tests {
         .unwrap();
         assert_eq!(a.cancel_frac, 0.1);
         assert_eq!(a.overrun_frac, 0.05);
-        assert!(a.enforce_walltime, "--overrun-frac implies walltime enforcement");
+        assert!(a.params.enforce_walltime, "--overrun-frac implies walltime enforcement");
         assert_eq!(a.drain_frac, 0.25);
-        assert_eq!(a.tick, Some(600));
+        assert_eq!(a.params.tick, Some(600));
         assert!(a.disruptions_enabled());
         assert!(parse_args(&args(&["--swf", "t", "--cancel-frac", "1.5"])).is_err());
         assert!(parse_args(&args(&["--swf", "t", "--overrun-factor", "0.5"])).is_err());
@@ -897,7 +1111,7 @@ mod tests {
         assert!(report.jobs_cancelled > 0);
         assert!(report.jobs_killed > 0);
         assert!(report.capacity_lost_unit_seconds[0] > 0.0);
-        let text = render_report(&a, &report);
+        let text = render_report("policy=fcfs workload=S1", &report);
         assert!(text.contains("disruptions:"), "render shows the disruption line");
     }
 
@@ -1001,7 +1215,7 @@ mod tests {
         assert!(parse_resume_args(&args(&[])).is_err(), "--from required");
         let err =
             parse_resume_args(&args(&["--from", "x", "--policy", "mrsch"])).unwrap_err();
-        assert!(err.contains("mrsch"), "{err}");
+        assert!(matches!(&err, CliError::Conflict(why) if why.contains("mrsch")), "{err}");
     }
 
     #[test]
@@ -1128,7 +1342,7 @@ mod tests {
         assert_eq!(a.policy_cache.as_deref(), Some("cache_dir"));
         assert!(a.require_warm_cache);
         let err = parse_eval_args(&args(&["--require-warm-cache"])).unwrap_err();
-        assert!(err.contains("--policy-cache"), "{err}");
+        assert!(err.to_string().contains("--policy-cache"), "{err}");
     }
 
     #[test]
@@ -1160,9 +1374,121 @@ mod tests {
         ]))
         .unwrap();
         let report = run_on_trace(&a, &trace).unwrap();
-        let text = render_report(&a, &report);
-        assert!(text.contains("utilization"));
-        assert!(text.contains("avg wait"));
-        assert!(text.contains("workload=S1"));
+        let text = render_report("policy=fcfs workload=S1", &report);
+        for part in ["workload=S1", "utilization", "avg wait", "max wait", "backfilled"] {
+            assert!(text.contains(part), "{part} missing from:\n{text}");
+        }
+        assert!(!text.contains("disruptions:"), "clean run has no disruption line");
+        // A run that leaves jobs unfinished says so, under either headline.
+        let stuck = SimReport { jobs_unfinished: 2, ..report };
+        assert!(render_report("resumed x.snap policy=fcfs", &stuck).contains("unfinished 2"));
+    }
+
+    #[test]
+    fn loadtest_mode_end_to_end() {
+        let out = serve_main(&argv(
+            "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000 \
+             --batch 4 --delay-us 500",
+        ))
+        .expect("loadtest runs");
+        assert!(out.contains("32 answered, 0 dropped"), "report: {out}");
+        assert!(out.contains("p99="), "report: {out}");
+    }
+
+    #[test]
+    fn bad_flags_are_reported() {
+        let err = |s: &str| serve_main(&argv(s)).unwrap_err();
+        assert!(err("--mode warp").contains("unknown mode"));
+        assert!(err("--frobnicate 3").contains("unknown flag"));
+        assert!(err("--batch").contains("requires a value"));
+        assert!(err("--batch 0").contains("must be positive"));
+        assert!(err("--policy fcfs").contains("not a servable"));
+        assert!(run(&argv("serve --help")).unwrap().contains("mrsch_cli serve"));
+    }
+
+    #[test]
+    fn zero_sized_machines_are_rejected_at_parse_time() {
+        // `--nodes 0` / `--bb 0` used to reach `WorkloadSpec::build` and
+        // panic there (`clamp(1, 0)`).
+        for zero in ["--nodes", "--bb"] {
+            let bad = |e: CliError| matches!(e, CliError::BadValue { flag, .. } if flag == zero);
+            assert!(bad(parse_args(&args(&["--swf", "t.swf", zero, "0"])).unwrap_err()));
+            assert!(bad(parse_eval_args(&args(&[zero, "0"])).unwrap_err()));
+        }
+        let err = run(&argv("evaluate --nodes 0")).unwrap_err();
+        assert_eq!(err, "--nodes '0': must be positive");
+    }
+
+    /// A value each flag's parser accepts, for flags without a default.
+    fn sample_value(flag: &Flag) -> &'static str {
+        match flag.name {
+            "--curriculum" => "harden",
+            "--tick" | "--snapshot-every" => "60",
+            _ => "x",
+        }
+    }
+
+    #[test]
+    fn every_table_entry_is_documented_and_parses() {
+        for sub in &SUBCOMMANDS {
+            let text = usage_of(sub);
+            assert!(usage().contains(&text), "{} missing from the full usage", sub.name);
+            for flag in sub.flags {
+                let line = text.lines().find(|l| l.split_whitespace().next() == Some(flag.name));
+                let line = line.unwrap_or_else(|| panic!("{} {} undocumented", sub.name, flag.name));
+                assert!(line.contains(flag.help), "{line}");
+                if let (Some(value), Some(default)) = (flag.value, flag.default) {
+                    assert!(line.contains(value) && line.contains(&format!("[{default}]")), "{line}");
+                }
+                // Given alone (with its default, or a sample value), the
+                // flag is accepted by the table's parser...
+                let mut argv = vec![flag.name.to_string()];
+                if flag.value.is_some() {
+                    argv.push(flag.default.unwrap_or_else(|| sample_value(flag)).to_string());
+                }
+                let matched = parse_flags(sub.flags, &argv).expect("listed flags match");
+                assert!(matched.is_set(flag.name));
+            }
+        }
+        // ...and by the typed parsers: every default in the tables is a
+        // value its own parser accepts.
+        parse_args(&args(&["--swf", "t.swf"])).unwrap();
+        parse_resume_args(&args(&["--from", "x.snap"])).unwrap();
+        parse_eval_args(&[]).unwrap();
+        parse_serve_args(&[]).unwrap();
+    }
+
+    #[test]
+    fn each_cli_error_variant_is_reachable() {
+        let sim = |v: &[&str]| parse_args(&args(v)).unwrap_err();
+        assert_eq!(sim(&["--frobnicate"]), CliError::UnknownFlag("--frobnicate".into()));
+        assert_eq!(sim(&["--swf", "t", "--nodes"]), CliError::MissingValue("--nodes"));
+        assert_eq!(sim(&["--nodes", "4"]), CliError::MissingFlag("--swf"));
+        assert!(matches!(sim(&["--swf", "t", "--seed", "-1"]), CliError::BadValue { .. }));
+        assert!(matches!(
+            sim(&["--swf", "t", "--snapshot-every", "5"]),
+            CliError::Conflict(_)
+        ));
+        // The same variants from the other three parsers.
+        assert_eq!(parse_resume_args(&[]).unwrap_err(), CliError::MissingFlag("--from"));
+        assert!(matches!(
+            parse_eval_args(&args(&["--seeds", "9..3"])).unwrap_err(),
+            CliError::BadValue { flag: "--seeds", .. }
+        ));
+        assert!(matches!(
+            parse_serve_args(&args(&["--qps", "fast"])).unwrap_err(),
+            CliError::BadValue { flag: "--qps", .. }
+        ));
+    }
+
+    #[test]
+    fn dispatch_defaults_to_simulate_and_checks_fig_arguments() {
+        assert_eq!(run(&argv("--nodes 4")).unwrap_err(), "--swf is required");
+        assert_eq!(run(&argv("simulate --nodes 4")).unwrap_err(), "--swf is required");
+        assert!(run(&argv("fig")).unwrap_err().contains("fig <name>"));
+        assert!(run(&argv("fig fig1 4")).unwrap_err().contains("fig <name>"), "no positionals");
+        assert!(run(&argv("fig fig2")).unwrap_err().contains("unknown figure"));
+        assert!(run(&argv("--help")).unwrap().contains("mrsch_cli evaluate"));
+        assert!(!run(&argv("resume -h")).unwrap().contains("mrsch_cli evaluate"));
     }
 }

@@ -1,7 +1,10 @@
-//! The four-method comparison engine behind Figs. 5, 6, 7 and 10 —
-//! retrofitted onto the `mrsch_eval` registry + harness.
+//! The paper's experimental design as [`EvalPlan`]s — the one place the
+//! train/test split, the §III-D job-set curriculum, the S1–S10 suites
+//! and the four-method legend are written down. Every comparison figure
+//! runs [`suite_plan`] and selects columns from the resulting
+//! [`mrsch_eval::EvalGrid`].
 //!
-//! For every workload of a suite this runs, under identical simulator
+//! For every workload of a suite a plan runs, under identical simulator
 //! mechanics (same window, same reservation + EASY backfilling):
 //!
 //! * **MRSch** — trained with the recommended curriculum, then evaluated
@@ -11,86 +14,85 @@
 //!   curriculum with the fixed-weight scalar reward,
 //! * **Heuristic** — multi-resource FCFS.
 //!
-//! Policy construction and training go through [`PolicySpec`] — this
-//! module contains **no** policy constructors of its own; it only maps
-//! the paper's experimental design (train/test splits, the recommended
-//! job-set curriculum, the S1–S10 suites) onto [`EvalPlan`]s.
-//! Workloads are evaluated on the chronological *test* split, never on
-//! training data (§IV-A). The whole suite runs as one parallel
-//! evaluation grid and results are returned in suite order.
+//! Policy construction and training go through [`PolicySpec`]; this
+//! module contains **no** policy constructors of its own. Workloads are
+//! evaluated on the chronological *test* split, never on training data
+//! (§IV-A). The whole suite runs as one parallel evaluation grid.
 
 use crate::scale::ExpScale;
 use mrsch::prelude::*;
+use mrsch_eval::columns::{self, Column, Get};
 use mrsch_eval::{BuildContext, EvalGrid, EvalPlan, PolicySpec};
 use mrsch_workload::jobset::{curriculum, CurriculumOrder};
-use mrsch_workload::split::paper_split;
-use serde::{Deserialize, Serialize};
+use mrsch_workload::split::{paper_split, Split};
 
-/// The four compared methods, in the paper's legend order.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MethodName {
-    /// The DFP-based agent (this paper).
-    Mrsch,
-    /// Multi-objective genetic-algorithm optimization.
-    Optimization,
-    /// Fixed-weight scalar-reward policy gradient.
-    ScalarRl,
-    /// Multi-resource FCFS.
-    Heuristic,
+/// The paper's legend: registry policy name → figure label, in legend
+/// order — the single mapping from the paper's methods to runnable
+/// policies.
+pub const LEGEND: [(&str, &str); 4] = [
+    ("mrsch", "MRSch"),
+    ("ga", "Optimization"),
+    ("scalar-rl", "Scalar RL"),
+    ("fcfs", "Heuristic"),
+];
+
+/// The four compared methods as registry specs, in legend order.
+pub fn paper_methods() -> Vec<PolicySpec> {
+    LEGEND
+        .iter()
+        .map(|(name, _)| PolicySpec::parse(name).expect("legend names are registry names"))
+        .collect()
 }
 
-impl MethodName {
-    /// All four, in legend order.
-    pub fn all() -> [MethodName; 4] {
-        [MethodName::Mrsch, MethodName::Optimization, MethodName::ScalarRl, MethodName::Heuristic]
-    }
-
-    /// Display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            MethodName::Mrsch => "MRSch",
-            MethodName::Optimization => "Optimization",
-            MethodName::ScalarRl => "Scalar RL",
-            MethodName::Heuristic => "Heuristic",
-        }
-    }
-
-    /// The registry entry implementing this method — the single mapping
-    /// from the paper's legend to runnable policies.
-    pub fn spec(self) -> PolicySpec {
-        match self {
-            MethodName::Mrsch => PolicySpec::mrsch(),
-            MethodName::Optimization => PolicySpec::Ga,
-            MethodName::ScalarRl => PolicySpec::ScalarRl,
-            MethodName::Heuristic => PolicySpec::Fcfs,
-        }
-    }
+/// The figure label of a policy (its registry name when the legend does
+/// not list it).
+pub fn legend(policy: &str) -> &str {
+    LEGEND.iter().find(|(name, _)| *name == policy).map_or(policy, |(_, label)| *label)
 }
 
-/// One method × workload result.
-#[derive(Clone, Debug)]
-pub struct Comparison {
-    /// Which scheduler produced this report.
-    pub method: MethodName,
-    /// Workload name ("S1" … "S10").
+/// The workload a cell ran ("S1" … "S10") — the scenario name.
+pub const WORKLOAD: Column = columns::SCENARIO.named("workload");
+/// The paper's label for the cell's policy ([`legend`]).
+pub const METHOD: Column =
+    Column { name: "method", get: Get::Text(|c| legend(&c.policy).to_string()) };
+
+/// One numeric reading per cell for derived figures (Kiviat axes,
+/// relative improvements): workload, method label, and the values of the
+/// requested columns.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Sample {
+    /// Workload name.
     pub workload: String,
-    /// The full simulator report.
-    pub report: SimReport,
+    /// Method label ([`legend`]).
+    pub method: String,
+    /// One value per requested column.
+    pub values: Vec<f64>,
+}
+
+/// Read `columns` off every cell, workload by workload.
+pub fn samples(grid: &EvalGrid, columns: &[Column]) -> Vec<Sample> {
+    grid.by_scenario()
+        .into_iter()
+        .map(|c| Sample {
+            workload: c.scenario.clone(),
+            method: legend(&c.policy).to_string(),
+            values: columns.iter().map(|col| col.number(c)).collect(),
+        })
+        .collect()
 }
 
 /// The evaluation scenario of a workload spec: the chronological test
 /// split of the base trace, truncated to the scale's evaluation size.
 /// Named after the workload so grid cells read naturally.
 pub fn eval_scenario(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Scenario {
-    let trace = scale.base_trace(seed);
-    eval_scenario_from_split(spec, scale, seed, &paper_split(&trace))
+    eval_scenario_from_split(spec, scale, seed, &paper_split(&scale.base_trace(seed)))
 }
 
 fn eval_scenario_from_split(
     spec: &WorkloadSpec,
     scale: &ExpScale,
     seed: u64,
-    split: &mrsch_workload::split::Split,
+    split: &Split,
 ) -> Scenario {
     let mut test = split.test.clone();
     test.truncate(scale.eval_jobs);
@@ -98,23 +100,33 @@ fn eval_scenario_from_split(
         .with_seed(seed ^ 0xEA1)
 }
 
-/// The paper's recommended training curriculum (§III-D: sampled → real
-/// → synthetic job sets from the chronological *train* split, repeated
+/// A §III-D job-set curriculum (sampled / real / synthetic job sets
+/// from the chronological *train* split in the given `order`, repeated
 /// `train_rounds` times) expressed as a scenario [`Curriculum`]: one
 /// single-episode phase per job set, in training order.
-pub fn paper_curriculum(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Curriculum {
-    let trace = scale.base_trace(seed);
-    paper_curriculum_from_split(spec, scale, seed, &paper_split(&trace))
-}
-
-fn paper_curriculum_from_split(
+pub fn jobset_curriculum(
+    order: CurriculumOrder,
     spec: &WorkloadSpec,
     scale: &ExpScale,
     seed: u64,
-    split: &mrsch_workload::split::Split,
+) -> Curriculum {
+    jobset_curriculum_from_split(order, spec, scale, seed, &paper_split(&scale.base_trace(seed)))
+}
+
+/// The paper's recommended curriculum: sampled → real → synthetic.
+pub fn paper_curriculum(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Curriculum {
+    jobset_curriculum(CurriculumOrder::recommended(), spec, scale, seed)
+}
+
+fn jobset_curriculum_from_split(
+    order: CurriculumOrder,
+    spec: &WorkloadSpec,
+    scale: &ExpScale,
+    seed: u64,
+    split: &Split,
 ) -> Curriculum {
     let sets = curriculum(
-        CurriculumOrder::recommended(),
+        order,
         &split.train,
         &scale.trace_config(),
         scale.sets_per_phase,
@@ -137,95 +149,83 @@ fn paper_curriculum_from_split(
     cur
 }
 
-/// The four-method [`EvalPlan`] for a set of workload specs at one
+/// The training knobs every figure shares at a scale.
+fn trainer(scale: &ExpScale) -> TrainerConfig {
+    TrainerConfig::default().batches_per_episode(scale.batches_per_episode)
+}
+
+/// The [`EvalPlan`] of `policies` over a set of workload specs at one
 /// seed: one scenario per workload (test split), the paper curriculum
-/// attached to each, every learnable method trained per cell.
-pub fn suite_plan(specs: &[WorkloadSpec], scale: &ExpScale, seed: u64) -> EvalPlan {
+/// attached to each, every learnable policy trained per cell.
+pub fn suite_plan(
+    specs: &[WorkloadSpec],
+    policies: Vec<PolicySpec>,
+    scale: &ExpScale,
+    seed: u64,
+) -> EvalPlan {
     // The base trace and its chronological split are workload-spec
     // independent; synthesize and split once for the whole plan.
-    let trace = scale.base_trace(seed);
-    let split = paper_split(&trace);
+    let split = paper_split(&scale.base_trace(seed));
     let scenarios: Vec<Scenario> = specs
         .iter()
         .map(|spec| eval_scenario_from_split(spec, scale, seed, &split))
         .collect();
-    let mut plan = EvalPlan::new(
-        scale.base_system(),
-        MethodName::all().iter().map(|m| m.spec()).collect(),
-        scenarios,
-        vec![seed],
-    )
-    .trainer(TrainerConfig::default().batches_per_episode(scale.batches_per_episode));
+    let mut plan = EvalPlan::new(scale.base_system(), policies, scenarios, vec![seed])
+        .trainer(trainer(scale));
     for (i, spec) in specs.iter().enumerate() {
-        plan = plan.scenario_training(i, paper_curriculum_from_split(spec, scale, seed, &split));
+        let order = CurriculumOrder::recommended();
+        let training = jobset_curriculum_from_split(order, spec, scale, seed, &split);
+        plan = plan.scenario_training(i, training);
     }
     plan
 }
 
-/// Map an executed grid back to `Comparison` rows in
-/// `(workload, method)` order.
-fn grid_to_comparisons(
-    grid: &EvalGrid,
-    specs: &[WorkloadSpec],
-    seed: u64,
-) -> Vec<Comparison> {
-    let mut out = Vec::with_capacity(specs.len() * 4);
-    for spec in specs {
-        for method in MethodName::all() {
-            let cell = grid
-                .cell(&method.spec().name(), &spec.name, seed)
-                .expect("plan covers every (method, workload) cell");
-            out.push(Comparison {
-                method,
-                workload: spec.name.clone(),
-                report: cell.report.clone(),
-            });
-        }
-    }
-    out
+/// Run the paper's four methods on `specs` — the grid behind Figs. 5–7,
+/// 10 and the multi-seed replication.
+pub fn comparison_grid(specs: &[WorkloadSpec], scale: &ExpScale, seed: u64) -> EvalGrid {
+    suite_plan(specs, paper_methods(), scale, seed).run()
 }
 
-/// Train an MRSch agent for a workload spec at the given scale, through
-/// the registry's canonical recipe (ε schedule sized to the curriculum,
-/// short prediction horizons).
+/// Train a live MRSch agent for a workload spec on `curriculum`, through
+/// the registry's construction recipe (ε schedule sized to the
+/// curriculum, short prediction horizons), keeping the engine's
+/// per-round losses. The agent equals the one a [`suite_plan`] cell
+/// trains from the same `(spec, scale, seed, curriculum)`.
 ///
-/// Exposed because Figs. 3, 8 and 9 and the ablations reuse the live
-/// agent to log goal vectors and swap goal modes.
-pub fn train_mrsch(
+/// For the figures that need more than a report from the agent: Fig. 4
+/// reads the losses, Figs. 8–9 its goal log, the ablations swap its goal
+/// mode.
+pub fn train_mrsch_on(
     spec: &WorkloadSpec,
     scale: &ExpScale,
     seed: u64,
-    state_module: StateModuleKind,
-) -> Mrsch {
+    curriculum: &Curriculum,
+) -> (Mrsch, EngineOutcome) {
     let system = spec.system_for(&scale.base_system());
-    let curriculum = paper_curriculum(spec, scale, seed);
     let ctx = BuildContext {
-        system: &system,
-        params: scale.sim_params(),
-        seed,
-        train: Some(&curriculum),
-        trainer: TrainerConfig::default().batches_per_episode(scale.batches_per_episode),
-        dfp_config: None,
+        trainer: trainer(scale),
+        ..BuildContext::new(&system, scale.sim_params(), seed).with_training(curriculum)
     };
-    mrsch_eval::trained_mrsch(&ctx, state_module)
+    let mut agent = mrsch_eval::untrained_mrsch(&ctx, StateModuleKind::Mlp);
+    let outcome = agent.train_with_curriculum(curriculum);
+    (agent, outcome)
 }
 
-/// Run all four methods on one workload spec (a 4 × 1 × 1 grid).
-pub fn run_workload(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Vec<Comparison> {
-    let specs = std::slice::from_ref(spec);
-    grid_to_comparisons(&suite_plan(specs, scale, seed).run(), specs, seed)
+/// [`train_mrsch_on`] the paper's recommended curriculum.
+pub fn train_mrsch(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Mrsch {
+    train_mrsch_on(spec, scale, seed, &paper_curriculum(spec, scale, seed)).0
 }
 
-/// The [`EvalGrid`] of one workload — multi-seed replication merges
-/// these and reuses the grid's shared aggregation.
-pub fn run_workload_grid(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> EvalGrid {
-    suite_plan(std::slice::from_ref(spec), scale, seed).run()
+#[cfg(test)]
+pub(crate) fn tiny_scale(eval_jobs: usize, jobs_per_set: usize) -> ExpScale {
+    ExpScale { eval_jobs, jobs_per_set, batches_per_episode: 2, ..ExpScale::quick() }
 }
 
-/// Run a whole suite (S1–S5 or S6–S10) as **one** parallel evaluation
-/// grid, returning results in `(workload, method)` order.
-pub fn run_suite(specs: &[WorkloadSpec], scale: &ExpScale, seed: u64) -> Vec<Comparison> {
-    grid_to_comparisons(&suite_plan(specs, scale, seed).run(), specs, seed)
+/// An untrained two-method grid over S1–S2, for table-shape tests.
+#[cfg(test)]
+pub(crate) fn baseline_grid() -> EvalGrid {
+    let specs = [WorkloadSpec::s1(), WorkloadSpec::s2()];
+    suite_plan(&specs, vec![PolicySpec::Fcfs, PolicySpec::Ga], &tiny_scale(20, 12), 3).run()
 }
 
 #[cfg(test)]
@@ -234,14 +234,15 @@ mod tests {
 
     #[test]
     fn method_labels_and_order() {
-        let all = MethodName::all();
-        assert_eq!(all[0].label(), "MRSch");
-        assert_eq!(all[3].label(), "Heuristic");
+        let labels: Vec<&str> = LEGEND.iter().map(|(_, label)| *label).collect();
+        assert_eq!(labels, ["MRSch", "Optimization", "Scalar RL", "Heuristic"]);
+        assert_eq!(legend("scalar-rl"), "Scalar RL");
+        assert_eq!(legend("mrsch-hardened"), "mrsch-hardened", "unlisted names pass through");
     }
 
     #[test]
     fn methods_map_to_unique_registry_specs() {
-        let names: Vec<String> = MethodName::all().iter().map(|m| m.spec().name()).collect();
+        let names: Vec<String> = paper_methods().iter().map(|m| m.name()).collect();
         assert_eq!(names, vec!["mrsch", "ga", "scalar-rl", "fcfs"]);
     }
 
@@ -256,31 +257,45 @@ mod tests {
 
     #[test]
     fn run_workload_produces_all_methods() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 30;
-        scale.jobs_per_set = 20;
-        scale.batches_per_episode = 2;
-        let results = run_workload(&WorkloadSpec::s1(), &scale, 42);
-        assert_eq!(results.len(), 4);
-        for (r, m) in results.iter().zip(MethodName::all()) {
-            assert_eq!(r.method, m);
-            assert_eq!(r.workload, "S1");
-            assert_eq!(r.report.jobs_completed, 30, "{:?} must finish all jobs", m);
+        let scale = tiny_scale(30, 20);
+        let grid = comparison_grid(&[WorkloadSpec::s1()], &scale, 42);
+        assert_eq!(grid.policies(), ["mrsch", "ga", "scalar-rl", "fcfs"]);
+        for cell in &grid.cells {
+            assert_eq!((cell.scenario.as_str(), cell.seed), ("S1", 42));
+            assert_eq!(cell.report.jobs_completed, 30, "{} must finish all jobs", cell.policy);
         }
+        let labels: Vec<String> = samples(&grid, &[]).into_iter().map(|s| s.method).collect();
+        assert_eq!(labels, ["MRSch", "Optimization", "Scalar RL", "Heuristic"]);
     }
 
     #[test]
     fn all_methods_see_identical_workload() {
         // Same eval scenario cell: all methods complete the same job
         // count and their reports span the same submit horizon.
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 25;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        let results = run_workload(&WorkloadSpec::s3(), &scale, 7);
-        let completed: Vec<usize> = results.iter().map(|r| r.report.jobs_completed).collect();
+        let scale = tiny_scale(25, 15);
+        let grid = comparison_grid(&[WorkloadSpec::s3()], &scale, 7);
+        let completed: Vec<usize> = grid.cells.iter().map(|c| c.report.jobs_completed).collect();
         assert!(completed.windows(2).all(|w| w[0] == w[1]));
-        let starts: Vec<u64> = results.iter().map(|r| r.report.start_time).collect();
+        let starts: Vec<u64> = grid.cells.iter().map(|c| c.report.start_time).collect();
         assert!(starts.windows(2).all(|w| w[0] == w[1]));
+    }
+
+    #[test]
+    fn live_agent_equals_the_plan_cell() {
+        // `train_mrsch` + `EvalCell::run` (the path Figs. 8–9 and the
+        // ablations take) must reproduce the `mrsch` cell of the plan.
+        let (scale, spec, seed) = (tiny_scale(20, 12), WorkloadSpec::s2(), 5);
+        let grid = suite_plan(std::slice::from_ref(&spec), vec![PolicySpec::mrsch()], &scale, seed)
+            .run();
+        let mut policy = train_mrsch(&spec, &scale, seed).into_eval_policy();
+        let live = mrsch_eval::EvalCell::run(
+            "mrsch",
+            &eval_scenario(&spec, &scale, seed),
+            &scale.base_system(),
+            seed,
+            &mut policy,
+        );
+        assert_eq!(live.report, grid.cells[0].report);
+        assert_eq!(live.cp_bound, grid.cells[0].cp_bound);
     }
 }

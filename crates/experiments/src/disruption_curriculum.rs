@@ -18,21 +18,15 @@
 //! comparison the registry's tags exist for. No policy constructors
 //! live here.
 
-use crate::csv;
 use crate::scale::ExpScale;
 use mrsch::prelude::*;
-use mrsch_eval::{EvalPlan, PolicySpec};
+use mrsch_eval::columns::{
+    self, AVG_SLOWDOWN, AVG_WAIT_H, BB_UTIL, CANCELLED, KILLED, LOST_NODE_S, MAKESPAN_S,
+    NODE_UTIL, POLICY, UNFINISHED,
+};
+use mrsch_eval::{EvalGrid, EvalPlan, PolicySpec, Table};
 use mrsch_workload::split::paper_split;
 use mrsim::SimTime;
-
-/// One evaluated scheduler's metrics on the disrupted trace.
-#[derive(Clone, Debug)]
-pub struct CurriculumRow {
-    /// "fcfs", "mrsch-clean" or "mrsch-hardened".
-    pub method: String,
-    /// The full evaluation report (disruption counters included).
-    pub report: SimReport,
-}
 
 /// Episodes per curriculum phase at a given scale.
 fn episodes_per_phase(scale: &ExpScale) -> usize {
@@ -50,8 +44,9 @@ fn eval_disruption(horizon: SimTime) -> DisruptionConfig {
     }
 }
 
-/// Run the comparison with `workers` rollout threads.
-pub fn run(scale: &ExpScale, seed: u64, workers: usize) -> Vec<CurriculumRow> {
+/// Run the comparison: cells `fcfs`, `mrsch-clean`, `mrsch-hardened` on
+/// the one disrupted scenario.
+pub fn run(scale: &ExpScale, seed: u64) -> EvalGrid {
     let system = scale.base_system();
     let spec = WorkloadSpec::s2();
     let trace = scale.base_trace(seed);
@@ -98,7 +93,7 @@ pub fn run(scale: &ExpScale, seed: u64, workers: usize) -> Vec<CurriculumRow> {
         per_phase,
     );
 
-    let grid = EvalPlan::new(
+    EvalPlan::new(
         system,
         vec![
             PolicySpec::Fcfs,
@@ -108,107 +103,63 @@ pub fn run(scale: &ExpScale, seed: u64, workers: usize) -> Vec<CurriculumRow> {
         vec![eval_scenario],
         vec![seed],
     )
-    .trainer(
-        TrainerConfig::default()
-            .workers(workers)
-            .batches_per_episode(scale.batches_per_episode),
-    )
+    .trainer(TrainerConfig::default().batches_per_episode(scale.batches_per_episode))
     .policy_training(1, clean_curriculum)
     .policy_training(2, hardened_curriculum)
-    .run();
-
-    // One scenario, one seed: cells are already in policy order.
-    grid.cells
-        .into_iter()
-        .map(|c| CurriculumRow { method: c.policy, report: c.report })
-        .collect()
+    .run()
 }
 
-/// Print the comparison table.
-pub fn print(rows: &[CurriculumRow]) {
-    println!("Disruption-curriculum comparison (disrupted held-out trace)");
-    println!(
-        "  {:<16} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9}",
-        "method", "node_util", "bb_util", "wait_h", "slowdown", "makespan", "cancelled", "killed"
-    );
-    for r in rows {
-        println!(
-            "  {:<16} {:>9.4} {:>9.4} {:>9.3} {:>10.3} {:>10} {:>9} {:>9}",
-            r.method,
-            r.report.resource_utilization[0],
-            r.report.resource_utilization[1],
-            r.report.avg_wait_hours(),
-            r.report.avg_slowdown,
-            r.report.makespan,
-            r.report.jobs_cancelled,
-            r.report.jobs_killed,
-        );
-    }
-}
-
-/// CSV rows for `results/disruption_curriculum.csv`.
-pub fn csv_rows(rows: &[CurriculumRow]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec![
-        "method", "node_util", "bb_util", "avg_wait_h", "avg_slowdown", "makespan",
-        "cancelled", "killed", "unfinished", "capacity_lost_node_s",
-    ];
-    let body = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.method.clone(),
-                csv::f(r.report.resource_utilization[0]),
-                csv::f(r.report.resource_utilization[1]),
-                csv::f(r.report.avg_wait_hours()),
-                csv::f(r.report.avg_slowdown),
-                r.report.makespan.to_string(),
-                r.report.jobs_cancelled.to_string(),
-                r.report.jobs_killed.to_string(),
-                r.report.jobs_unfinished.to_string(),
-                csv::f(r.report.capacity_lost_unit_seconds[0]),
-            ]
-        })
-        .collect();
-    (header, body)
+/// The comparison table (one scenario, one seed: cells are already in
+/// policy order).
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    vec![columns::table(
+        "Disruption-curriculum comparison (disrupted held-out trace)",
+        &[
+            POLICY.named("method"),
+            NODE_UTIL,
+            BB_UTIL,
+            AVG_WAIT_H,
+            AVG_SLOWDOWN,
+            MAKESPAN_S.named("makespan"),
+            CANCELLED,
+            KILLED,
+            UNFINISHED,
+            LOST_NODE_S,
+        ],
+        &run(scale, seed).cells,
+    )]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::tiny_scale;
 
     #[test]
     #[ignore = "experiment-scale (trains two agents); run with --ignored / in CI"]
     fn three_rows_with_disruption_accounting() {
-        let mut scale = ExpScale::quick();
-        scale.jobs_per_set = 20;
-        scale.eval_jobs = 30;
-        scale.batches_per_episode = 2;
-        let rows = run(&scale, 33, 2);
-        assert_eq!(rows.len(), 3);
-        let methods: Vec<&str> = rows.iter().map(|r| r.method.as_str()).collect();
-        assert_eq!(methods, ["fcfs", "mrsch-clean", "mrsch-hardened"]);
-        for r in &rows {
+        let grid = run(&tiny_scale(30, 20), 33);
+        assert_eq!(grid.policies(), ["fcfs", "mrsch-clean", "mrsch-hardened"]);
+        for c in &grid.cells {
             assert!(
-                r.report.all_jobs_accounted(r.report.records.len()),
+                c.report.all_jobs_accounted(c.report.records.len()),
                 "{}: every job must be accounted",
-                r.method
+                c.policy
             );
-            assert!(r.report.capacity_lost_unit_seconds[0] > 0.0, "{}: drain fired", r.method);
-            assert!(r.report.jobs_cancelled > 0, "{}: cancels fired", r.method);
+            assert!(LOST_NODE_S.number(c) > 0.0, "{}: drain fired", c.policy);
+            assert!(c.report.jobs_cancelled > 0, "{}: cancels fired", c.policy);
+            assert!(c.report.jobs_killed > 0, "{}: walltime kills fired", c.policy);
         }
-    }
-
-    #[test]
-    #[ignore = "experiment-scale; run with --ignored / in CI"]
-    fn worker_count_does_not_change_rows() {
-        let mut scale = ExpScale::quick();
-        scale.jobs_per_set = 15;
-        scale.eval_jobs = 20;
-        scale.batches_per_episode = 2;
-        let a = run(&scale, 7, 1);
-        let b = run(&scale, 7, 4);
-        for (x, y) in a.iter().zip(&b) {
-            assert_eq!(x.report, y.report, "{} differs across worker counts", x.method);
-        }
+        // Hardening must pay somewhere on the disrupted trace (all
+        // lower-is-better except utilization).
+        let (clean, hardened) = (&grid.cells[1].report, &grid.cells[2].report);
+        assert!(
+            hardened.avg_wait < clean.avg_wait
+                || hardened.avg_slowdown < clean.avg_slowdown
+                || hardened.makespan < clean.makespan
+                || hardened.max_wait < clean.max_wait
+                || hardened.resource_utilization[0] > clean.resource_utilization[0],
+            "the hardened agent must beat the clean-trained one on >= 1 metric"
+        );
     }
 }

@@ -8,6 +8,7 @@
 //! demand values below realize exactly the decision pattern described in
 //! the paper's §I.
 
+use mrsch_eval::Table;
 use mrsim::job::Job;
 use mrsim::policy::{Policy, SchedulerView};
 use mrsim::resources::SystemConfig;
@@ -135,21 +136,21 @@ pub fn run() -> Fig1Result {
     }
 }
 
-/// Print the example the way the paper narrates it.
-pub fn print(result: &Fig1Result) {
-    println!("Fig. 1 — motivating example (two resources, four 1-hour jobs)");
-    println!(
-        "  fixed-weight greedy : makespan {:.0} h, starts (h) {:?}",
-        result.fixed_weight_makespan_h, result.fixed_weight_starts_h
-    );
-    println!(
-        "  ideal order         : makespan {:.0} h, starts (h) {:?}",
-        result.ideal_makespan_h, result.ideal_starts_h
-    );
-    println!(
-        "  => statically weighted objectives lose {:.0} h of makespan",
-        result.fixed_weight_makespan_h - result.ideal_makespan_h
-    );
+/// Both schedules, one row each: the makespan and every job's start
+/// hour (the fixed-weight row loses one hour against the ideal order).
+pub fn table(result: &Fig1Result) -> Table {
+    let row = |schedule: &str, makespan_h: f64, starts_h: &[f64]| {
+        let hours = std::iter::once(makespan_h).chain(starts_h.iter().copied());
+        std::iter::once(schedule.to_string()).chain(hours.map(|h| format!("{h:.0}"))).collect()
+    };
+    Table::new(
+        "Fig. 1 — motivating example (two resources, four 1-hour jobs)",
+        vec!["schedule", "makespan_h", "j1_start_h", "j2_start_h", "j3_start_h", "j4_start_h"],
+        vec![
+            row("fixed_weight_greedy", result.fixed_weight_makespan_h, &result.fixed_weight_starts_h),
+            row("ideal_order", result.ideal_makespan_h, &result.ideal_starts_h),
+        ],
+    )
 }
 
 #[cfg(test)]

@@ -5,128 +5,48 @@
 //! budget, which the site wants maximized (run as hot as the budget
 //! allows, §V-E's third objective).
 
-use crate::comparison::{run_suite, Comparison};
-use crate::csv;
-use crate::kiviat::{self, KiviatRow};
+use crate::comparison::comparison_grid;
+use crate::kiviat::{self, Axis};
 use crate::scale::ExpScale;
+use mrsch_eval::columns::{AVG_SLOWDOWN, AVG_WAIT_H, BB_UTIL, NODE_UTIL, POWER_UTIL};
+use mrsch_eval::{EvalGrid, Table};
 use mrsch_workload::suite::WorkloadSpec;
 
-/// The axis labels of Fig. 10, in order.
-pub const AXES: [&str; 5] = [
-    "Node Utilization",
-    "Burst Buffer Utilization",
-    "Avg_SysPower",
-    "1/Avg_Wait",
-    "1/Avg_Slowdown",
+/// The axes of Fig. 10, in order.
+pub const AXES: [Axis; 5] = [
+    Axis { name: "node_util_norm", column: NODE_UTIL, higher_better: true },
+    Axis { name: "bb_util_norm", column: BB_UTIL, higher_better: true },
+    Axis { name: "power_util_norm", column: POWER_UTIL, higher_better: true },
+    Axis { name: "inv_wait_norm", column: AVG_WAIT_H, higher_better: false },
+    Axis { name: "inv_slowdown_norm", column: AVG_SLOWDOWN, higher_better: false },
 ];
 
-/// Kiviat rows for one three-resource workload.
-#[derive(Clone, Debug)]
-pub struct Fig10Chart {
-    /// Workload name ("S6" … "S10").
-    pub workload: String,
-    /// One row per method.
-    pub rows: Vec<KiviatRow>,
+/// The five-axis Kiviat charts of a three-resource comparison grid.
+pub fn table(grid: &EvalGrid) -> Table {
+    let rows = kiviat::of_grid(&AXES, grid);
+    kiviat::table("Fig. 10 — three-resource case study (normalized axes)", &AXES, &rows)
 }
 
-/// Run the four methods on S6–S10 and normalize into Kiviat charts.
-pub fn run(scale: &ExpScale, seed: u64) -> Vec<Fig10Chart> {
-    let results = run_suite(&WorkloadSpec::three_resource_suite(), scale, seed);
-    charts_from(&results)
-}
-
-/// Build the charts from raw comparison results (exposed for tests).
-pub fn charts_from(results: &[Comparison]) -> Vec<Fig10Chart> {
-    let mut workloads: Vec<String> = results.iter().map(|r| r.workload.clone()).collect();
-    workloads.dedup();
-    workloads
-        .into_iter()
-        .map(|wl| {
-            let subset: Vec<&Comparison> =
-                results.iter().filter(|r| r.workload == wl).collect();
-            let methods: Vec<String> =
-                subset.iter().map(|r| r.method.label().to_string()).collect();
-            let raw: Vec<Vec<f64>> = subset
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.report.resource_utilization[0],
-                        r.report.resource_utilization[1],
-                        r.report.resource_utilization[2],
-                        r.report.avg_wait_hours(),
-                        r.report.avg_slowdown,
-                    ]
-                })
-                .collect();
-            let rows =
-                kiviat::normalize(&methods, &raw, &[true, true, true, false, false]);
-            Fig10Chart { workload: wl, rows }
-        })
-        .collect()
-}
-
-/// Print every chart.
-pub fn print(charts: &[Fig10Chart]) {
-    println!("Fig. 10 — three-resource case study (normalized axes)");
-    for chart in charts {
-        println!("  {} — axes: {:?}", chart.workload, AXES);
-        for row in &chart.rows {
-            let vals: Vec<String> = row.axes.iter().map(|a| format!("{a:.3}")).collect();
-            println!(
-                "    {:<14} [{}] area={:.3}",
-                row.method,
-                vals.join(", "),
-                kiviat::polygon_area(&row.axes)
-            );
-        }
-    }
-}
-
-/// CSV rows for `results/fig10.csv`.
-pub fn csv_rows(charts: &[Fig10Chart]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec![
-        "workload",
-        "method",
-        "node_util_norm",
-        "bb_util_norm",
-        "power_util_norm",
-        "inv_wait_norm",
-        "inv_slowdown_norm",
-        "area",
-    ];
-    let rows = charts
-        .iter()
-        .flat_map(|c| {
-            c.rows.iter().map(move |r| {
-                let mut row = vec![c.workload.clone(), r.method.clone()];
-                row.extend(r.axes.iter().map(|a| csv::f(*a)));
-                row.push(csv::f(kiviat::polygon_area(&r.axes)));
-                row
-            })
-        })
-        .collect();
-    (header, rows)
+/// Run the four methods on S6–S10 and chart them.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    vec![table(&comparison_grid(&WorkloadSpec::three_resource_suite(), scale, seed))]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparison::run_workload;
+    use crate::comparison::tiny_scale;
 
     #[test]
     fn three_resource_workload_runs_all_methods() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 25;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        let results = run_workload(&WorkloadSpec::s6(), &scale, 51);
-        assert_eq!(results.len(), 4);
-        for r in &results {
-            assert_eq!(r.report.resource_utilization.len(), 3, "power axis present");
-            assert_eq!(r.report.jobs_completed, 25);
+        let grid = comparison_grid(&[WorkloadSpec::s6()], &tiny_scale(25, 15), 51);
+        assert_eq!(grid.cells.len(), 4);
+        for c in &grid.cells {
+            assert_eq!(c.report.resource_utilization.len(), 3, "power axis present");
+            assert_eq!(c.report.jobs_completed, 25);
         }
-        let charts = charts_from(&results);
-        assert_eq!(charts.len(), 1);
-        assert_eq!(charts[0].rows[0].axes.len(), 5);
+        let t = table(&grid);
+        assert_eq!(t.rows.len(), 4, "one chart of four methods");
+        assert_eq!(t.header.len(), 2 + 5 + 1, "keys, five axes, area");
     }
 }

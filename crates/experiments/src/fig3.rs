@@ -5,116 +5,74 @@
 //! compares the four evaluation metrics on S1–S5. The paper finds MLP
 //! better by up to 7 % because scheduler state has no spatial locality
 //! for convolutions to exploit.
+//!
+//! The grid is the comparison plan of Figs. 5–7 with the policies
+//! `[mrsch, mrsch:cnn]`, so its `mrsch` rows *are* those figures' MRSch
+//! rows.
 
-use crate::comparison::train_mrsch;
-use crate::csv;
+use crate::comparison::{suite_plan, WORKLOAD};
 use crate::scale::ExpScale;
-use mrsch::prelude::*;
-use mrsch_workload::split::paper_split;
+use mrsch_eval::columns::{self, Column, Get, AVG_SLOWDOWN, AVG_WAIT_H, BB_UTIL, NODE_UTIL};
+use mrsch_eval::{EvalGrid, PolicySpec, Table};
+use mrsch_workload::suite::WorkloadSpec;
 
-/// One (workload, architecture) evaluation.
-#[derive(Clone, Debug)]
-pub struct Fig3Row {
-    /// Workload name.
-    pub workload: String,
-    /// `"MLP"` or `"CNN"`.
-    pub arch: &'static str,
-    /// Node utilization.
-    pub node_util: f64,
-    /// Burst-buffer utilization.
-    pub bb_util: f64,
-    /// Average job wait (hours).
-    pub avg_wait_h: f64,
-    /// Average job slowdown.
-    pub avg_slowdown: f64,
+/// The state module behind a cell's policy: `"MLP"` or `"CNN"`.
+pub const ARCH: Column = Column {
+    name: "arch",
+    get: Get::Text(|c| if c.policy.ends_with(":cnn") { "CNN".into() } else { "MLP".into() }),
+};
+
+/// Train and evaluate both architectures on `specs`.
+pub fn run(specs: &[WorkloadSpec], scale: &ExpScale, seed: u64) -> EvalGrid {
+    let policies = ["mrsch", "mrsch:cnn"].map(|p| PolicySpec::parse(p).expect("registry name"));
+    suite_plan(specs, policies.to_vec(), scale, seed).run()
 }
 
-/// Run the ablation over S1–S5.
-pub fn run(scale: &ExpScale, seed: u64) -> Vec<Fig3Row> {
-    let mut rows = Vec::new();
-    for spec in WorkloadSpec::two_resource_suite() {
-        let system = spec.system_for(&scale.base_system());
-        let trace = scale.base_trace(seed);
-        let split = paper_split(&trace);
-        let mut test = split.test;
-        test.truncate(scale.eval_jobs);
-        let jobs = spec.build(&test, &system, seed ^ 0xEA1);
-        for (arch, kind) in
-            [("MLP", StateModuleKind::Mlp), ("CNN", StateModuleKind::Cnn)]
-        {
-            let mut agent = train_mrsch(&spec, scale, seed, kind);
-            let report = agent.evaluate(&jobs);
-            rows.push(Fig3Row {
-                workload: spec.name.clone(),
-                arch,
-                node_util: report.resource_utilization[0],
-                bb_util: report.resource_utilization[1],
-                avg_wait_h: report.avg_wait_hours(),
-                avg_slowdown: report.avg_slowdown,
-            });
-        }
-    }
-    rows
-}
-
-/// Print the four panels of Fig. 3 as one table.
-pub fn print(rows: &[Fig3Row]) {
-    println!("Fig. 3 — MLP vs CNN state module (S1–S5)");
-    println!(
-        "{:<4} {:<4} {:>10} {:>10} {:>12} {:>12}",
-        "wl", "arch", "node util", "bb util", "wait (h)", "slowdown"
-    );
-    for r in rows {
-        println!(
-            "{:<4} {:<4} {:>10.3} {:>10.3} {:>12.3} {:>12.3}",
-            r.workload, r.arch, r.node_util, r.bb_util, r.avg_wait_h, r.avg_slowdown
-        );
-    }
-}
-
-/// CSV rows for `results/fig3.csv`.
-pub fn csv_rows(rows: &[Fig3Row]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header =
-        vec!["workload", "arch", "node_util", "bb_util", "avg_wait_h", "avg_slowdown"];
-    let data = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.arch.to_string(),
-                csv::f(r.node_util),
-                csv::f(r.bb_util),
-                csv::f(r.avg_wait_h),
-                csv::f(r.avg_slowdown),
-            ]
-        })
-        .collect();
-    (header, data)
+/// The four panels of Fig. 3 as one table.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    vec![columns::table(
+        "Fig. 3 — MLP vs CNN state module (S1–S5)",
+        &[WORKLOAD, ARCH, NODE_UTIL, BB_UTIL, AVG_WAIT_H, AVG_SLOWDOWN],
+        run(&WorkloadSpec::two_resource_suite(), scale, seed).by_scenario(),
+    )]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::{comparison_grid, tiny_scale};
 
     #[test]
     #[ignore = "experiment-scale (trains 10 agents); run with --ignored / in CI"]
     fn ablation_produces_both_arches_per_workload() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 20;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        // Keep the test fast: only verify on a single workload by reusing
-        // run() over the full suite at tiny scale.
-        let rows = run(&scale, 11);
-        assert_eq!(rows.len(), 10, "5 workloads x 2 architectures");
-        for pair in rows.chunks(2) {
-            assert_eq!(pair[0].workload, pair[1].workload);
-            assert_eq!(pair[0].arch, "MLP");
-            assert_eq!(pair[1].arch, "CNN");
-            for r in pair {
-                assert!(r.node_util > 0.0 && r.node_util <= 1.0);
-                assert!(r.avg_slowdown >= 1.0);
+        let t = &tables(&tiny_scale(20, 15), 11)[0];
+        assert_eq!(t.rows.len(), 10, "5 workloads x 2 architectures");
+        for pair in t.rows.chunks(2) {
+            assert_eq!(pair[0][0], pair[1][0], "same workload");
+            assert_eq!((pair[0][1].as_str(), pair[1][1].as_str()), ("MLP", "CNN"));
+            for row in pair {
+                let node_util: f64 = row[2].parse().unwrap();
+                let slowdown: f64 = row[5].parse().unwrap();
+                assert!(node_util > 0.0 && node_util <= 1.0);
+                assert!(slowdown >= 1.0);
             }
+        }
+    }
+
+    #[test]
+    fn mrsch_rows_equal_the_comparison_figures_mrsch_rows() {
+        // Fig. 3's MLP agent and Figs. 5–6's MRSch are the same
+        // (workload, seed) configuration: same plan, same cells. (They
+        // were two code paths seeding job materialization differently.)
+        let (scale, seed) = (tiny_scale(30, 20), 11);
+        let specs = [WorkloadSpec::s1()];
+        let fig3 = run(&specs, &scale, seed);
+        let fig5 = comparison_grid(&specs, &scale, seed);
+        let (a, b) = (&fig3.cells[0], fig5.cell("mrsch", "S1", seed).unwrap());
+        assert_eq!((a.policy.as_str(), ARCH.text(a).as_str()), ("mrsch", "MLP"));
+        assert_eq!(a.report, b.report);
+        for column in columns::CELL_CSV {
+            assert_eq!(column.text(a), column.text(b), "{}", column.name);
         }
     }
 }

@@ -1,66 +1,40 @@
 //! Fig. 4 — convergence under the six curriculum orderings (§III-D).
 //!
 //! Trains one fresh agent per ordering of {sampled, real, synthetic} job
-//! sets and records the evaluation loss after every episode. The paper's
+//! sets and records the replay loss after every episode. The paper's
 //! finding: *sampled → real → synthetic* converges fastest to the lowest
-//! MSE.
+//! MSE. Each ordering is a [`jobset_curriculum`] through the training
+//! engine, so the recommended ordering's curve belongs to exactly the
+//! agent Figs. 5–7 evaluate.
 
-use crate::csv;
+use crate::comparison::{jobset_curriculum, train_mrsch_on};
 use crate::scale::ExpScale;
-use mrsch::prelude::*;
-use mrsch_workload::jobset::{curriculum, CurriculumOrder};
-use mrsch_workload::split::paper_split;
+use mrsch_eval::table::{self, Table};
+use mrsch_workload::jobset::CurriculumOrder;
+use mrsch_workload::suite::WorkloadSpec;
 
 /// Loss curve for one curriculum ordering.
 #[derive(Clone, Debug)]
 pub struct Fig4Curve {
     /// Legend label, e.g. `"Sampled+Real+Synthetic"`.
     pub label: String,
-    /// Evaluation loss after each training episode.
+    /// Replay loss after each training episode.
     pub losses: Vec<f32>,
 }
 
 /// Train one agent per ordering and collect loss curves.
 pub fn run(scale: &ExpScale, seed: u64) -> Vec<Fig4Curve> {
     let spec = WorkloadSpec::s1();
-    let trace = scale.base_trace(seed);
-    let split = paper_split(&trace);
     CurriculumOrder::all()
         .into_iter()
         .map(|order| {
-            let sets = curriculum(
-                order,
-                &split.train,
-                &scale.trace_config(),
-                scale.sets_per_phase,
-                scale.jobs_per_set,
-                seed ^ 0xF194,
-            );
-            let mut mrsch = MrschBuilder::new(scale.base_system(), scale.sim_params())
-                .seed(seed)
-                .batches_per_episode(scale.batches_per_episode)
-                .build();
-            let mut losses = Vec::new();
-            for round in 0..scale.train_rounds {
-                let outcome =
-                    mrsch.train_curriculum(&sets, &spec, seed.wrapping_add(round as u64));
-                losses.extend(outcome.episode_losses);
-            }
+            let curriculum = jobset_curriculum(order, &spec, scale, seed);
+            let (_, outcome) = train_mrsch_on(&spec, scale, seed, &curriculum);
+            // Single-episode phases: one round, hence one loss, each.
+            let losses = outcome.phases.iter().flat_map(|p| p.round_losses.clone()).collect();
             Fig4Curve { label: order.label(), losses }
         })
         .collect()
-}
-
-/// Print the loss curves as rows (one column per episode).
-pub fn print(curves: &[Fig4Curve]) {
-    println!("Fig. 4 — training loss by curriculum ordering");
-    for c in curves {
-        let series: Vec<String> = c.losses.iter().map(|l| format!("{l:.4}")).collect();
-        println!("  {:<28} {}", c.label, series.join(" "));
-    }
-    if let Some(best) = best_final(curves) {
-        println!("  => lowest final loss: {best}");
-    }
 }
 
 /// Label of the ordering with the lowest final (finite) loss.
@@ -78,30 +52,36 @@ pub fn best_final(curves: &[Fig4Curve]) -> Option<String> {
         .map(|(label, _)| label)
 }
 
-/// CSV rows for `results/fig4.csv`: one row per (ordering, episode).
-pub fn csv_rows(curves: &[Fig4Curve]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec!["ordering", "episode", "loss"];
+/// The curves, one row per (ordering, episode), plus the ordering that
+/// ends lowest.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    let curves = run(scale, seed);
     let rows = curves
         .iter()
         .flat_map(|c| {
             c.losses.iter().enumerate().map(move |(i, l)| {
-                vec![c.label.clone(), i.to_string(), csv::f(*l as f64)]
+                vec![c.label.clone(), i.to_string(), table::f(*l as f64)]
             })
         })
         .collect();
-    (header, rows)
+    let best = Table::new(
+        "lowest final loss",
+        vec!["ordering"],
+        best_final(&curves).into_iter().map(|label| vec![label]).collect(),
+    );
+    let title = "Fig. 4 — training loss by curriculum ordering";
+    vec![Table::new(title, vec!["ordering", "episode", "loss"], rows), best]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::tiny_scale;
 
     #[test]
     #[ignore = "experiment-scale (6 curricula); run with --ignored / in CI"]
     fn six_curves_with_expected_lengths() {
-        let mut scale = ExpScale::quick();
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
+        let scale = tiny_scale(ExpScale::quick().eval_jobs, 15);
         let curves = run(&scale, 21);
         assert_eq!(curves.len(), 6);
         let expected = scale.sets_per_phase * 3 * scale.train_rounds;

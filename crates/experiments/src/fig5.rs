@@ -1,78 +1,43 @@
 //! Fig. 5 — system-level metrics: node and burst-buffer utilization for
 //! the four methods on S1–S5.
 
-use crate::comparison::Comparison;
-use crate::csv;
+use crate::comparison::{comparison_grid, METHOD, WORKLOAD};
+use crate::scale::ExpScale;
+use mrsch_eval::columns::{self, BB_UTIL, NODE_UTIL};
+use mrsch_eval::{EvalGrid, Table};
+use mrsch_workload::suite::WorkloadSpec;
 
-/// Print the two panels of Fig. 5.
-pub fn print(results: &[Comparison]) {
-    println!("Fig. 5 — system-level metrics (utilization %)");
-    println!(
-        "{:<4} {:<14} {:>10} {:>10}",
-        "wl", "method", "node util", "bb util"
-    );
-    for r in results {
-        println!(
-            "{:<4} {:<14} {:>10.1} {:>10.1}",
-            r.workload,
-            r.method.label(),
-            100.0 * r.report.resource_utilization[0],
-            100.0 * r.report.resource_utilization[1],
-        );
-    }
+/// The two panels of Fig. 5 as one table over a comparison grid.
+pub fn table(grid: &EvalGrid) -> Table {
+    columns::table(
+        "Fig. 5 — system-level metrics (utilization)",
+        &[WORKLOAD, METHOD, NODE_UTIL, BB_UTIL],
+        grid.by_scenario(),
+    )
 }
 
-/// CSV rows for `results/fig5.csv`.
-pub fn csv_rows(results: &[Comparison]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec!["workload", "method", "node_util", "bb_util"];
-    let rows = results
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.method.label().to_string(),
-                csv::f(r.report.resource_utilization[0]),
-                csv::f(r.report.resource_utilization[1]),
-            ]
-        })
-        .collect();
-    (header, rows)
+/// Run the four methods on S1–S5 and tabulate.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    vec![table(&comparison_grid(&WorkloadSpec::two_resource_suite(), scale, seed))]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::comparison::MethodName;
-    use mrsim::metrics::{MetricsCollector, SimReport};
-
-    fn fake(workload: &str, method: MethodName, node: f64, bb: f64) -> Comparison {
-        let mc = MetricsCollector::new(2);
-        let mut report = SimReport::assemble(
-            vec!["nodes".into(), "burst_buffer_tb".into()],
-            vec![],
-            &mc,
-            &[1, 1],
-            0,
-            0,
-            0,
-            mrsim::EventCounts::new(),
-            0,
-            None,
-        );
-        report.resource_utilization = vec![node, bb];
-        Comparison { method, workload: workload.into(), report }
-    }
+    use crate::comparison::baseline_grid;
+    use mrsch_eval::table;
 
     #[test]
     fn csv_rows_align_with_results() {
-        let results = vec![
-            fake("S1", MethodName::Mrsch, 0.9, 0.5),
-            fake("S1", MethodName::Heuristic, 0.6, 0.3),
-        ];
-        let (header, rows) = csv_rows(&results);
-        assert_eq!(header.len(), 4);
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0][1], "MRSch");
-        assert_eq!(rows[0][2], "0.9000");
+        let grid = baseline_grid();
+        let t = table(&grid);
+        assert_eq!(t.header, ["workload", "method", "node_util", "bb_util"]);
+        assert_eq!(t.rows.len(), grid.cells.len());
+        // Workload-major, legend labels, the report's own utilization.
+        assert_eq!(t.rows[0][..2], ["S1", "Heuristic"]);
+        assert_eq!(t.rows[1][..2], ["S1", "Optimization"]);
+        let fcfs_s1 = grid.cell("fcfs", "S1", 3).unwrap();
+        assert_eq!(t.rows[0][2], table::f(fcfs_s1.report.resource_utilization[0]));
+        assert_eq!(t.rows[0][3], table::f(fcfs_s1.report.resource_utilization[1]));
     }
 }

@@ -3,181 +3,90 @@
 //! Four axes: node utilization, burst-buffer utilization, `1/avg_wait`
 //! and `1/avg_slowdown`, each normalized so the best method scores 1.
 
-use crate::comparison::{Comparison, MethodName};
-use crate::csv;
-use crate::kiviat::{self, KiviatRow};
+use crate::comparison::comparison_grid;
+use crate::kiviat::{self, Axis, KiviatRow};
+use crate::scale::ExpScale;
+use mrsch_eval::columns::{AVG_SLOWDOWN, AVG_WAIT_H, BB_UTIL, NODE_UTIL};
+use mrsch_eval::Table;
+use mrsch_workload::suite::WorkloadSpec;
 
-/// The axis labels of Fig. 7, in order.
-pub const AXES: [&str; 4] = [
-    "Node Utilization",
-    "Burst Buffer Utilization",
-    "1/Avg_Wait",
-    "1/Avg_Slowdown",
+/// The axes of Fig. 7, in order.
+pub const AXES: [Axis; 4] = [
+    Axis { name: "node_util_norm", column: NODE_UTIL, higher_better: true },
+    Axis { name: "bb_util_norm", column: BB_UTIL, higher_better: true },
+    Axis { name: "inv_wait_norm", column: AVG_WAIT_H, higher_better: false },
+    Axis { name: "inv_slowdown_norm", column: AVG_SLOWDOWN, higher_better: false },
 ];
 
-/// Kiviat rows for one workload.
-#[derive(Clone, Debug)]
-pub struct Fig7Chart {
-    /// Workload name.
-    pub workload: String,
-    /// One row per method.
-    pub rows: Vec<KiviatRow>,
+/// The Kiviat charts as a table.
+pub fn table(rows: &[KiviatRow]) -> Table {
+    kiviat::table("Fig. 7 — Kiviat charts (normalized; 1.0 = best method per axis)", &AXES, rows)
 }
 
-/// Build the per-workload Kiviat charts from comparison results.
-pub fn run(results: &[Comparison]) -> Vec<Fig7Chart> {
-    let mut workloads: Vec<String> = results.iter().map(|r| r.workload.clone()).collect();
-    workloads.dedup();
-    workloads
-        .into_iter()
-        .map(|wl| {
-            let subset: Vec<&Comparison> =
-                results.iter().filter(|r| r.workload == wl).collect();
-            let methods: Vec<String> =
-                subset.iter().map(|r| r.method.label().to_string()).collect();
-            let raw: Vec<Vec<f64>> = subset
-                .iter()
-                .map(|r| {
-                    vec![
-                        r.report.resource_utilization[0],
-                        r.report.resource_utilization[1],
-                        r.report.avg_wait_hours(),
-                        r.report.avg_slowdown,
-                    ]
-                })
-                .collect();
-            let rows = kiviat::normalize(&methods, &raw, &[true, true, false, false]);
-            Fig7Chart { workload: wl, rows }
-        })
-        .collect()
-}
-
-/// Methods ranked by Kiviat polygon area for one chart (best first).
-pub fn area_ranking(chart: &Fig7Chart) -> Vec<(String, f64)> {
-    let mut ranked: Vec<(String, f64)> = chart
-        .rows
-        .iter()
-        .map(|r| (r.method.clone(), kiviat::polygon_area(&r.axes)))
-        .collect();
-    ranked.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    ranked
-}
-
-/// Print every chart with axis values and area ranking.
-pub fn print(charts: &[Fig7Chart]) {
-    println!("Fig. 7 — Kiviat charts (normalized; 1.0 = best method per axis)");
-    for chart in charts {
-        println!("  {} — axes: {:?}", chart.workload, AXES);
-        for row in &chart.rows {
-            let vals: Vec<String> = row.axes.iter().map(|a| format!("{a:.3}")).collect();
-            println!("    {:<14} [{}]", row.method, vals.join(", "));
-        }
-        let ranking = area_ranking(chart);
-        let names: Vec<&str> = ranking.iter().map(|(m, _)| m.as_str()).collect();
-        println!("    area ranking: {}", names.join(" > "));
-    }
-}
-
-/// CSV rows for `results/fig7.csv`.
-pub fn csv_rows(charts: &[Fig7Chart]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec![
-        "workload",
-        "method",
-        "node_util_norm",
-        "bb_util_norm",
-        "inv_wait_norm",
-        "inv_slowdown_norm",
-        "area",
-    ];
-    let rows = charts
-        .iter()
-        .flat_map(|c| {
-            c.rows.iter().map(move |r| {
-                let mut row = vec![c.workload.clone(), r.method.clone()];
-                row.extend(r.axes.iter().map(|a| csv::f(*a)));
-                row.push(csv::f(kiviat::polygon_area(&r.axes)));
-                row
-            })
-        })
-        .collect();
-    (header, rows)
-}
-
-/// Does MRSch have the largest area on every chart? (The paper's summary
-/// claim for Fig. 7.)
-pub fn mrsch_wins_everywhere(charts: &[Fig7Chart]) -> bool {
-    charts.iter().all(|c| {
-        area_ranking(c)
-            .first()
-            .map(|(m, _)| m == MethodName::Mrsch.label())
-            .unwrap_or(false)
-    })
+/// Run the four methods on S1–S5; the charts plus the method with the
+/// largest area per workload (the paper: MRSch on every one).
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    let grid = comparison_grid(&WorkloadSpec::two_resource_suite(), scale, seed);
+    let rows = kiviat::of_grid(&AXES, &grid);
+    let all = kiviat::mrsch_wins_everywhere(&rows);
+    let winners = Table::new(
+        format!("largest area per workload (MRSch on all: {all})"),
+        vec!["workload", "largest_area"],
+        kiviat::winners(&rows).into_iter().map(|(workload, method)| vec![workload, method]).collect(),
+    );
+    vec![table(&rows), winners]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mrsim::job::JobRecord;
-    use mrsim::metrics::{MetricsCollector, SimReport};
+    use crate::comparison::Sample;
 
-    fn fake(workload: &str, method: MethodName, util: f64, wait: u64) -> Comparison {
-        let mc = MetricsCollector::new(2);
-        let records = vec![JobRecord {
-            id: 0,
-            submit: 0,
-            start: wait,
-            end: wait + 1000,
-            backfilled: false,
-            outcome: mrsim::job::JobOutcome::Finished,
-        }];
-        let mut report = SimReport::assemble(
-            vec!["nodes".into(), "burst_buffer_tb".into()],
-            records,
-            &mc,
-            &[1, 1],
-            wait + 1000,
-            1,
-            1,
-            mrsim::EventCounts::new(),
-            0,
-            None,
-        );
-        report.resource_utilization = vec![util, util * 0.8];
-        Comparison { method, workload: workload.into(), report }
+    /// A reading on the four axes: utilizations from `util`, wait and
+    /// slowdown from `wait`.
+    fn sample(workload: &str, method: &str, util: f64, wait: f64) -> Sample {
+        Sample {
+            workload: workload.into(),
+            method: method.into(),
+            values: vec![util, util * 0.8, wait, 1.0 + wait],
+        }
+    }
+
+    fn charts(samples: &[Sample]) -> Vec<KiviatRow> {
+        kiviat::charts(samples, &AXES.map(|a| a.higher_better))
     }
 
     #[test]
     fn charts_grouped_by_workload() {
-        let results = vec![
-            fake("S1", MethodName::Mrsch, 0.9, 100),
-            fake("S1", MethodName::Heuristic, 0.5, 400),
-            fake("S2", MethodName::Mrsch, 0.8, 150),
-            fake("S2", MethodName::Heuristic, 0.6, 300),
-        ];
-        let charts = run(&results);
-        assert_eq!(charts.len(), 2);
-        assert_eq!(charts[0].rows.len(), 2);
-        assert_eq!(charts[0].rows[0].axes.len(), 4);
+        let rows = charts(&[
+            sample("S1", "MRSch", 0.9, 100.0),
+            sample("S1", "Heuristic", 0.5, 400.0),
+            sample("S2", "MRSch", 0.8, 150.0),
+            sample("S2", "Heuristic", 0.6, 300.0),
+        ]);
+        assert_eq!(rows.len(), 4);
+        assert!(rows.iter().all(|r| r.axes.len() == 4));
+        // Normalized within each workload: every workload has a 1.0 on
+        // every axis.
+        for wl in ["S1", "S2"] {
+            for k in 0..4 {
+                assert!(rows.iter().any(|r| r.workload == wl && (r.axes[k] - 1.0).abs() < 1e-12));
+            }
+        }
     }
 
     #[test]
     fn dominant_method_ranks_first_and_wins() {
-        let results = vec![
-            fake("S1", MethodName::Mrsch, 0.9, 100),
-            fake("S1", MethodName::Heuristic, 0.5, 400),
-        ];
-        let charts = run(&results);
-        let ranking = area_ranking(&charts[0]);
-        assert_eq!(ranking[0].0, "MRSch");
-        assert!(mrsch_wins_everywhere(&charts));
+        let rows =
+            charts(&[sample("S1", "MRSch", 0.9, 100.0), sample("S1", "Heuristic", 0.5, 400.0)]);
+        assert_eq!(kiviat::winners(&rows), [("S1".to_string(), "MRSch".to_string())]);
+        assert!(kiviat::mrsch_wins_everywhere(&rows));
     }
 
     #[test]
     fn losing_mrsch_detected() {
-        let results = vec![
-            fake("S1", MethodName::Mrsch, 0.4, 500),
-            fake("S1", MethodName::Heuristic, 0.9, 100),
-        ];
-        assert!(!mrsch_wins_everywhere(&run(&results)));
+        let rows =
+            charts(&[sample("S1", "MRSch", 0.4, 500.0), sample("S1", "Heuristic", 0.9, 100.0)]);
+        assert!(!kiviat::mrsch_wins_everywhere(&rows));
     }
 }

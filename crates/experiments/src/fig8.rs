@@ -4,11 +4,11 @@
 //! A trained MRSch agent is evaluated on S5 with goal logging; the
 //! resulting `(time, rBB)` series is windowed to 12 simulated hours.
 
-use crate::comparison::train_mrsch;
-use crate::csv;
+use crate::comparison::{eval_scenario, train_mrsch};
+use crate::fig9;
 use crate::scale::ExpScale;
-use mrsch::prelude::*;
-use mrsch_workload::split::paper_split;
+use mrsch_eval::table::{self, Table};
+use mrsch_workload::suite::WorkloadSpec;
 use mrsim::SimTime;
 
 /// The `rBB` time series.
@@ -24,67 +24,56 @@ pub struct Fig8Series {
 /// Duration of the plotted window: 12 hours.
 pub const WINDOW_SECS: SimTime = 12 * 3600;
 
-/// Train on S5, evaluate with goal logging, and slice a 12-hour window
-/// (starting at one quarter of the trace, a deterministic stand-in for
-/// the paper's "randomly selected 12 hours").
+/// Train the comparison figures' MRSch agent for `spec` and log `rBB`
+/// at every decision of its evaluation episode (the episode a
+/// `suite_plan` cell of the same workload and seed runs).
+pub fn rbb_log(spec: &WorkloadSpec, scale: &ExpScale, seed: u64) -> Vec<(SimTime, f64)> {
+    let scenario = eval_scenario(spec, scale, seed);
+    let (_, episode) = mrsch_eval::eval_episode(&scenario, &scale.base_system(), seed);
+    let (_, log) = train_mrsch(spec, scale, seed).evaluate_with_goal_log(&episode.jobs);
+    log.into_iter().map(|(t, goal)| (t, goal[1] as f64)).collect()
+}
+
+/// Log `rBB` on S5 and slice a 12-hour window (starting at one quarter
+/// of the trace, a deterministic stand-in for the paper's "randomly
+/// selected 12 hours").
 pub fn run(scale: &ExpScale, seed: u64) -> Fig8Series {
-    let spec = WorkloadSpec::s5();
-    let system = spec.system_for(&scale.base_system());
-    let trace = scale.base_trace(seed);
-    let split = paper_split(&trace);
-    let mut test = split.test;
-    test.truncate(scale.eval_jobs);
-    let jobs = spec.build(&test, &system, seed ^ 0xEA1);
-    let mut agent = train_mrsch(&spec, scale, seed, StateModuleKind::Mlp);
-    let (_report, log) = agent.evaluate_with_goal_log(&jobs);
-    let horizon = log.last().map(|(t, _)| *t).unwrap_or(0);
-    let window_start = horizon / 4;
+    let log = rbb_log(&WorkloadSpec::s5(), scale, seed);
+    let window_start = log.last().map_or(0, |(t, _)| *t) / 4;
     let samples = log
-        .iter()
-        .filter(|(t, _)| *t >= window_start && *t < window_start + WINDOW_SECS)
-        .map(|(t, g)| (*t, g[1] as f64))
+        .into_iter()
+        .filter(|(t, _)| (window_start..window_start + WINDOW_SECS).contains(t))
         .collect();
     Fig8Series { samples, window_start }
 }
 
-/// Print the series.
-pub fn print(series: &Fig8Series) {
-    println!(
-        "Fig. 8 — rBB over a 12-hour window (start at t={} s), {} samples",
-        series.window_start,
-        series.samples.len()
-    );
-    for (t, r) in &series.samples {
-        println!("  t={:>8} s  rBB={:.4}", t - series.window_start, r);
-    }
-    let values: Vec<f64> = series.samples.iter().map(|(_, r)| *r).collect();
-    if let Some(s) = mrsch_linalg::stats::box_summary(&values) {
-        println!("  range [{:.3}, {:.3}], mean {:.3}", s.min, s.max, s.mean);
-    }
-}
-
-/// CSV rows for `results/fig8.csv`.
-pub fn csv_rows(series: &Fig8Series) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec!["t_seconds", "r_bb"];
+/// The series (time relative to the window start) plus its box summary.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    let series = run(scale, seed);
     let rows = series
         .samples
         .iter()
-        .map(|(t, r)| vec![(t - series.window_start).to_string(), csv::f(*r)])
+        .map(|(t, r)| vec![(t - series.window_start).to_string(), table::f(*r)])
         .collect();
-    (header, rows)
+    let title = format!(
+        "Fig. 8 — rBB over a 12-hour window of S5 (start at t={} s)",
+        series.window_start
+    );
+    let values: Vec<f64> = series.samples.iter().map(|(_, r)| *r).collect();
+    vec![
+        Table::new(title, vec!["t_seconds", "r_bb"], rows),
+        fig9::box_table("rBB within the window", &[("S5".to_string(), values)]),
+    ]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::tiny_scale;
 
     #[test]
     fn series_is_windowed_and_in_unit_interval() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 40;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        let series = run(&scale, 31);
+        let series = run(&tiny_scale(40, 15), 31);
         assert!(!series.samples.is_empty(), "window must contain decisions");
         for (t, r) in &series.samples {
             assert!(*t >= series.window_start && *t < series.window_start + WINDOW_SECS);
@@ -95,11 +84,7 @@ mod tests {
     #[test]
     fn rbb_fluctuates_under_s5() {
         // The paper's point: the weight is dynamic, not constant 0.5.
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 60;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        let series = run(&scale, 32);
+        let series = run(&tiny_scale(60, 15), 32);
         let values: Vec<f64> = series.samples.iter().map(|(_, r)| *r).collect();
         let min = values.iter().cloned().fold(f64::INFINITY, f64::min);
         let max = values.iter().cloned().fold(f64::NEG_INFINITY, f64::max);

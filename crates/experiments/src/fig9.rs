@@ -4,95 +4,55 @@
 //! scalar-RL fixed 0.5), and (2) every box statistic is largest for S5
 //! (the most BB-contended workload).
 
-use crate::comparison::train_mrsch;
-use crate::csv;
+use crate::fig8::rbb_log;
 use crate::scale::ExpScale;
-use mrsch::prelude::*;
-use mrsch_linalg::stats::{box_summary, BoxSummary};
-use mrsch_workload::split::paper_split;
+use mrsch_eval::table::{self, Table};
+use mrsch_linalg::stats::box_summary;
+use mrsch_workload::suite::WorkloadSpec;
 
-/// Box statistics of `rBB` for one workload.
-#[derive(Clone, Debug)]
-pub struct Fig9Box {
-    /// Workload name.
-    pub workload: String,
-    /// Five-number summary + mean.
-    pub summary: BoxSummary,
-}
-
-/// Evaluate a trained agent per workload and box-summarize its `rBB` log.
-pub fn run(scale: &ExpScale, seed: u64) -> Vec<Fig9Box> {
+/// Every `rBB` a trained agent chose on each workload's evaluation
+/// episode, as `(workload, values)`.
+pub fn run(scale: &ExpScale, seed: u64) -> Vec<(String, Vec<f64>)> {
     WorkloadSpec::two_resource_suite()
         .into_iter()
         .map(|spec| {
-            let system = spec.system_for(&scale.base_system());
-            let trace = scale.base_trace(seed);
-            let split = paper_split(&trace);
-            let mut test = split.test;
-            test.truncate(scale.eval_jobs);
-            let jobs = spec.build(&test, &system, seed ^ 0xEA1);
-            let mut agent = train_mrsch(&spec, scale, seed, StateModuleKind::Mlp);
-            let (_, log) = agent.evaluate_with_goal_log(&jobs);
-            let values: Vec<f64> = log.iter().map(|(_, g)| g[1] as f64).collect();
-            Fig9Box {
-                workload: spec.name.clone(),
-                summary: box_summary(&values).expect("decisions must exist"),
-            }
+            let values = rbb_log(&spec, scale, seed).into_iter().map(|(_, r)| r).collect();
+            (spec.name, values)
         })
         .collect()
 }
 
-/// Print the box statistics.
-pub fn print(boxes: &[Fig9Box]) {
-    println!("Fig. 9 — box plot of rBB per workload");
-    println!(
-        "{:<4} {:>8} {:>8} {:>8} {:>8} {:>8} {:>8}",
-        "wl", "min", "q1", "median", "q3", "max", "mean"
-    );
-    for b in boxes {
-        let s = &b.summary;
-        println!(
-            "{:<4} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3} {:>8.3}",
-            b.workload, s.min, s.q1, s.median, s.q3, s.max, s.mean
-        );
-    }
-}
-
-/// CSV rows for `results/fig9.csv`.
-pub fn csv_rows(boxes: &[Fig9Box]) -> (Vec<&'static str>, Vec<Vec<String>>) {
-    let header = vec!["workload", "min", "q1", "median", "q3", "max", "mean"];
-    let rows = boxes
+/// Box statistics (five-number summary + mean) of one series per row;
+/// an empty series has no row.
+pub fn box_table(title: &str, series: &[(String, Vec<f64>)]) -> Table {
+    let rows = series
         .iter()
-        .map(|b| {
-            vec![
-                b.workload.clone(),
-                csv::f(b.summary.min),
-                csv::f(b.summary.q1),
-                csv::f(b.summary.median),
-                csv::f(b.summary.q3),
-                csv::f(b.summary.max),
-                csv::f(b.summary.mean),
-            ]
+        .filter_map(|(label, values)| {
+            let s = box_summary(values)?;
+            let stats = [s.min, s.q1, s.median, s.q3, s.max, s.mean];
+            Some(std::iter::once(label.clone()).chain(stats.map(table::f)).collect())
         })
         .collect();
-    (header, rows)
+    Table::new(title, vec!["workload", "min", "q1", "median", "q3", "max", "mean"], rows)
+}
+
+/// The box plot as a table.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    vec![box_table("Fig. 9 — box plot of rBB per workload", &run(scale, seed))]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::tiny_scale;
 
     #[test]
     fn five_boxes_ordered_and_bounded() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 16;
-        scale.jobs_per_set = 10;
-        scale.batches_per_episode = 2;
-        let boxes = run(&scale, 41);
-        assert_eq!(boxes.len(), 5);
-        for b in &boxes {
-            let s = &b.summary;
-            assert!(s.min >= 0.0 && s.max <= 1.0);
+        let series = run(&tiny_scale(16, 10), 41);
+        assert_eq!(box_table("", &series).rows.len(), 5);
+        for (workload, values) in &series {
+            let s = box_summary(values).expect("decisions must exist");
+            assert!(s.min >= 0.0 && s.max <= 1.0, "{workload}");
             assert!(s.min <= s.q1 && s.q1 <= s.median && s.median <= s.q3 && s.q3 <= s.max);
         }
     }
@@ -102,18 +62,16 @@ mod tests {
     fn s5_mean_exceeds_s1_mean() {
         // S5 is the most BB-contended workload; its rBB should sit higher
         // than S1's (the paper's Fig. 9 observation 2).
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 50;
-        scale.jobs_per_set = 15;
-        scale.batches_per_episode = 2;
-        let boxes = run(&scale, 43);
-        let s1 = boxes.iter().find(|b| b.workload == "S1").unwrap();
-        let s5 = boxes.iter().find(|b| b.workload == "S5").unwrap();
+        let series = run(&tiny_scale(50, 15), 43);
+        let mean = |wl: &str| {
+            let (_, values) = series.iter().find(|(w, _)| w == wl).unwrap();
+            box_summary(values).unwrap().mean
+        };
         assert!(
-            s5.summary.mean > s1.summary.mean,
+            mean("S5") > mean("S1"),
             "S5 rBB mean {} should exceed S1's {}",
-            s5.summary.mean,
-            s1.summary.mean
+            mean("S5"),
+            mean("S1")
         );
     }
 }

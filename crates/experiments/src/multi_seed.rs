@@ -5,102 +5,32 @@
 //! but a reproduction should quantify run-to-run spread. Each seed
 //! re-synthesizes the trace, re-trains the learning methods, and
 //! re-evaluates — so the spread includes workload, initialization and
-//! exploration variance. The per-seed grids come from the shared
-//! evaluation harness (`comparison::run_workload_grid`) and the
-//! aggregation is the harness's own [`EvalGrid::aggregate`] — this
-//! module holds no policy plumbing of its own.
+//! exploration variance. The per-seed grids are `comparison_grid`s
+//! and the aggregation is the harness's own
+//! [`EvalGrid::aggregate_rows`] — this module holds no policy plumbing
+//! of its own.
 
-use crate::comparison::{run_workload_grid, MethodName};
-use crate::csv;
+use crate::comparison::{comparison_grid, METHOD, WORKLOAD};
 use crate::scale::ExpScale;
-use mrsch_eval::{Aggregate, EvalGrid};
+use mrsch_eval::columns::{AVG_SLOWDOWN, AVG_WAIT_H, BB_UTIL, NODE_UTIL};
+use mrsch_eval::{EvalGrid, Table};
 use mrsch_workload::suite::WorkloadSpec;
 
-/// Aggregated results for one method on one workload.
-#[derive(Clone, Debug)]
-pub struct MultiSeedRow {
-    /// The scheduler.
-    pub method: MethodName,
-    /// Workload name.
-    pub workload: String,
-    /// Seeds aggregated.
-    pub seeds: usize,
-    /// Node utilization.
-    pub node_util: Aggregate,
-    /// Burst-buffer utilization.
-    pub bb_util: Aggregate,
-    /// Average wait, hours.
-    pub avg_wait_h: Aggregate,
-    /// Average slowdown.
-    pub avg_slowdown: Aggregate,
-}
-
-/// Run one workload across `seeds` (one scoped thread per seed — each
-/// seed re-synthesizes its trace, so the seeds are separate plans),
-/// merge the grids, and aggregate per method.
-pub fn run_workload_multi_seed(
-    spec: &WorkloadSpec,
-    scale: &ExpScale,
-    seeds: &[u64],
-) -> Vec<MultiSeedRow> {
+/// Run the four methods on `specs` once per seed (each seed
+/// re-synthesizes its trace, so the seeds are separate plans, one
+/// thread each) and merge the grids in seed order.
+pub fn run(specs: &[WorkloadSpec], scale: &ExpScale, seeds: &[u64]) -> EvalGrid {
     assert!(!seeds.is_empty(), "need at least one seed");
-    let mut per_seed: Vec<Option<EvalGrid>> = (0..seeds.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for (i, &seed) in seeds.iter().enumerate() {
-            handles.push((i, scope.spawn(move || run_workload_grid(spec, scale, seed))));
-        }
-        for (i, h) in handles {
-            per_seed[i] = Some(h.join().expect("seed thread panicked"));
-        }
-    });
-    let grid = EvalGrid::merge(per_seed.into_iter().flatten());
-
-    MethodName::all()
-        .into_iter()
-        .map(|method| {
-            let agg = grid
-                .aggregate(&method.spec().name(), &spec.name)
-                .expect("method present in every run");
-            MultiSeedRow {
-                method,
-                workload: spec.name.clone(),
-                seeds: agg.seeds,
-                node_util: agg.node_util,
-                bb_util: agg.bb_util,
-                avg_wait_h: agg.avg_wait_h,
-                avg_slowdown: agg.avg_slowdown,
-            }
-        })
-        .collect()
+    EvalGrid::merge(mrsim::striped_map(
+        seeds.len(),
+        seeds.len(),
+        || (),
+        |_, i| comparison_grid(specs, scale, seeds[i]),
+    ))
 }
 
-/// Print the aggregate table.
-pub fn print(rows: &[MultiSeedRow]) {
-    println!(
-        "multi-seed comparison ({} seeds) — mean ± std",
-        rows.first().map(|r| r.seeds).unwrap_or(0)
-    );
-    println!(
-        "{:<4} {:<14} {:>18} {:>18} {:>18} {:>18}",
-        "wl", "method", "node util", "bb util", "wait (h)", "slowdown"
-    );
-    for r in rows {
-        let fmt = |a: &Aggregate| format!("{:.3} ± {:.3}", a.mean, a.std);
-        println!(
-            "{:<4} {:<14} {:>18} {:>18} {:>18} {:>18}",
-            r.workload,
-            r.method.label(),
-            fmt(&r.node_util),
-            fmt(&r.bb_util),
-            fmt(&r.avg_wait_h),
-            fmt(&r.avg_slowdown)
-        );
-    }
-}
-
-/// CSV rows.
-pub fn csv_rows(rows: &[MultiSeedRow]) -> (Vec<&'static str>, Vec<Vec<String>>) {
+/// Mean ± std of the four evaluation metrics per (workload, method).
+pub fn table(grid: &EvalGrid) -> Table {
     let header = vec![
         "workload",
         "method",
@@ -114,70 +44,54 @@ pub fn csv_rows(rows: &[MultiSeedRow]) -> (Vec<&'static str>, Vec<Vec<String>>) 
         "avg_slowdown_mean",
         "avg_slowdown_std",
     ];
-    let data = rows
-        .iter()
-        .map(|r| {
-            vec![
-                r.workload.clone(),
-                r.method.label().to_string(),
-                r.seeds.to_string(),
-                csv::f(r.node_util.mean),
-                csv::f(r.node_util.std),
-                csv::f(r.bb_util.mean),
-                csv::f(r.bb_util.std),
-                csv::f(r.avg_wait_h.mean),
-                csv::f(r.avg_wait_h.std),
-                csv::f(r.avg_slowdown.mean),
-                csv::f(r.avg_slowdown.std),
-            ]
-        })
-        .collect();
-    (header, data)
+    let metrics = [NODE_UTIL, BB_UTIL, AVG_WAIT_H, AVG_SLOWDOWN];
+    Table::new(
+        "multi-seed comparison — mean ± std over seeds",
+        header,
+        grid.aggregate_rows(&[WORKLOAD, METHOD], &metrics),
+    )
+}
+
+/// S4 and S5 under `seed`, `seed + 1` and `seed + 2`.
+pub fn tables(scale: &ExpScale, seed: u64) -> Vec<Table> {
+    let specs = [WorkloadSpec::s4(), WorkloadSpec::s5()];
+    vec![table(&run(&specs, scale, &[seed, seed + 1, seed + 2]))]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::comparison::tiny_scale;
 
     #[test]
     fn aggregates_across_two_seeds() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 20;
-        scale.jobs_per_set = 12;
-        scale.batches_per_episode = 2;
-        let rows = run_workload_multi_seed(&WorkloadSpec::s1(), &scale, &[1, 2]);
-        assert_eq!(rows.len(), 4);
-        for r in &rows {
-            assert_eq!(r.seeds, 2);
-            assert!(r.node_util.mean > 0.0);
-            assert!(r.node_util.std >= 0.0);
-            assert!(r.avg_slowdown.mean >= 1.0);
+        let grid = run(&[WorkloadSpec::s1()], &tiny_scale(20, 12), &[1, 2]);
+        let t = table(&grid);
+        assert_eq!(t.rows.len(), 4);
+        let methods: Vec<&str> = t.rows.iter().map(|r| r[1].as_str()).collect();
+        assert_eq!(methods, ["MRSch", "Optimization", "Scalar RL", "Heuristic"]);
+        for (row, policy) in t.rows.iter().zip(grid.policies()) {
+            assert_eq!(row[2], "2", "two seeds aggregated");
+            let util = grid.aggregate(&policy, "S1", NODE_UTIL).unwrap();
+            assert!(util.mean > 0.0 && util.std >= 0.0);
+            assert!(grid.aggregate(&policy, "S1", AVG_SLOWDOWN).unwrap().mean >= 1.0);
         }
     }
 
     #[test]
     fn deterministic_methods_have_zero_variance_under_same_seed() {
-        let mut scale = ExpScale::quick();
-        scale.eval_jobs = 15;
-        scale.jobs_per_set = 10;
-        scale.batches_per_episode = 2;
         // Same seed twice: every method (including trained ones, which are
         // seeded) must produce identical metrics -> std == 0.
-        let rows = run_workload_multi_seed(&WorkloadSpec::s1(), &scale, &[7, 7]);
-        for r in rows {
-            assert!(
-                r.avg_wait_h.std.abs() < 1e-12,
-                "{:?} not deterministic: std {}",
-                r.method,
-                r.avg_wait_h.std
-            );
+        let grid = run(&[WorkloadSpec::s1()], &tiny_scale(15, 10), &[7, 7]);
+        for policy in grid.policies() {
+            let wait = grid.aggregate(&policy, "S1", AVG_WAIT_H).unwrap();
+            assert!(wait.std.abs() < 1e-12, "{policy} not deterministic: std {}", wait.std);
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one seed")]
     fn empty_seed_list_rejected() {
-        let scale = ExpScale::quick();
-        let _ = run_workload_multi_seed(&WorkloadSpec::s1(), &scale, &[]);
+        let _ = run(&[WorkloadSpec::s1()], &ExpScale::quick(), &[]);
     }
 }

@@ -8,6 +8,7 @@
 //! at both the scaled and the paper's full Theta network size.
 
 use mrsch::prelude::*;
+use mrsch_eval::table::{self, Table};
 use std::time::{Duration, Instant};
 
 /// Latency measurement for one configuration.
@@ -85,15 +86,26 @@ pub fn run(samples: usize) -> Vec<OverheadResult> {
     ]
 }
 
-/// Print the measurements against the paper's bounds.
-pub fn print(results: &[OverheadResult]) {
-    println!("§V-F — decision latency (paper bound: <2 s two-resource, <3 s three-resource)");
-    for r in results {
-        println!(
-            "  {:<12} R={} state_dim={:<6} mean {:>10.3?} max {:>10.3?} ({} samples)",
-            r.label, r.resources, r.state_dim, r.mean, r.max, r.samples
-        );
-    }
+/// The measurements, to be read against the paper's bounds.
+pub fn table(results: &[OverheadResult]) -> Table {
+    let rows = results
+        .iter()
+        .map(|r| {
+            vec![
+                r.label.clone(),
+                r.resources.to_string(),
+                r.state_dim.to_string(),
+                table::f(r.mean.as_secs_f64() * 1e3),
+                table::f(r.max.as_secs_f64() * 1e3),
+                r.samples.to_string(),
+            ]
+        })
+        .collect();
+    Table::new(
+        "§V-F — decision latency (paper bound: <2 s two-resource, <3 s three-resource)",
+        vec!["config", "resources", "state_dim", "mean_ms", "max_ms", "samples"],
+        rows,
+    )
 }
 
 #[cfg(test)]

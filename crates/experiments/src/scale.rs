@@ -9,10 +9,9 @@
 use mrsch_workload::theta::{ThetaConfig, TraceJob};
 use mrsim::resources::SystemConfig;
 use mrsim::simulator::SimParams;
-use serde::{Deserialize, Serialize};
 
 /// Sizing of one experiment run.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ExpScale {
     /// Compute nodes of the simulated machine.
     pub nodes: u64,

@@ -2,8 +2,8 @@
 //! of each materialized workload (participation fraction, BB range,
 //! node-hours) so the suite can be audited at any scale.
 
-use crate::csv;
 use crate::scale::ExpScale;
+use mrsch_eval::table::{self, Table};
 use mrsch_workload::suite::WorkloadSpec;
 
 /// Realized statistics of a materialized workload.
@@ -51,24 +51,8 @@ pub fn run(scale: &ExpScale, seed: u64) -> Vec<WorkloadStats> {
         .collect()
 }
 
-/// Print Table III with realized columns.
-pub fn print(stats: &[WorkloadStats]) {
-    println!("Table III — workloads (realized at current scale)");
-    println!(
-        "{:<4} {:>12} {:>12} {:>8} {:>8} {:>14}",
-        "name", "spec part.", "real part.", "bb min", "bb max", "node-seconds"
-    );
-    for s in stats {
-        println!(
-            "{:<4} {:>12.2} {:>12.3} {:>8} {:>8} {:>14}",
-            s.name, s.spec_participation, s.realized_participation, s.bb_min, s.bb_max,
-            s.node_seconds
-        );
-    }
-}
-
-/// CSV rows for `results/table3.csv`.
-pub fn csv_rows(stats: &[WorkloadStats]) -> (Vec<&'static str>, Vec<Vec<String>>) {
+/// Table III with realized columns.
+pub fn table(stats: &[WorkloadStats]) -> Table {
     let header = vec![
         "workload",
         "spec_participation",
@@ -83,8 +67,8 @@ pub fn csv_rows(stats: &[WorkloadStats]) -> (Vec<&'static str>, Vec<Vec<String>>
         .map(|s| {
             vec![
                 s.name.clone(),
-                csv::f(s.spec_participation),
-                csv::f(s.realized_participation),
+                table::f(s.spec_participation),
+                table::f(s.realized_participation),
                 s.bb_min.to_string(),
                 s.bb_max.to_string(),
                 s.node_seconds.to_string(),
@@ -92,7 +76,7 @@ pub fn csv_rows(stats: &[WorkloadStats]) -> (Vec<&'static str>, Vec<Vec<String>>
             ]
         })
         .collect();
-    (header, rows)
+    Table::new("Table III — workloads (realized at current scale)", header, rows)
 }
 
 #[cfg(test)]
@@ -130,10 +114,8 @@ mod tests {
     #[test]
     fn csv_shape() {
         let stats = run(&ExpScale::quick(), 5);
-        let (header, rows) = csv_rows(&stats);
-        assert_eq!(rows.len(), 5);
-        for r in &rows {
-            assert_eq!(r.len(), header.len());
-        }
+        let t = table(&stats);
+        assert_eq!(t.rows.len(), 5);
+        assert_eq!(t.rows[1][..2], ["S2", "0.7500"]);
     }
 }

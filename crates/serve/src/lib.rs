@@ -21,9 +21,10 @@
 //!   arrival gaps from `mrsch_workload::stress`, scaled to a target
 //!   QPS) for self-contained load tests;
 //! * [`server`] — stdin and TCP serving loops plus the
-//!   [`server::run_loadtest`] harness used by CI and the bench suite;
-//! * [`cli`] — the `mrsch_cli serve` subcommand (hand-rolled flags, no
-//!   clap, per the offline dependency policy).
+//!   [`server::run_loadtest`] harness used by CI and the bench suite.
+//!
+//! The `mrsch_cli serve` front door lives with the other subcommands in
+//! `mrsch_experiments::cli`.
 //!
 //! Determinism: the decision path inherits the GEMM/gemv bit-exactness
 //! contract, so the served action stream is a pure function of
@@ -31,7 +32,6 @@
 //! worker count, and transport.
 
 pub mod batcher;
-pub mod cli;
 pub mod engine;
 pub mod histogram;
 pub mod loadgen;

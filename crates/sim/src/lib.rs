@@ -71,8 +71,8 @@ pub use metrics::{EventCounts, SimReport};
 pub use policy::{Policy, SchedulerView};
 pub use resources::{ResourceSpec, SystemConfig};
 pub use shard::{
-    partition_round_robin, shard_snapshot_name, write_shard_snapshot, ShardSpec, ShardTotals,
-    ShardedSim, SnapshotConfig,
+    partition_round_robin, run_shard, shard_snapshot_name, write_shard_snapshot, ShardSpec,
+    ShardTotals, ShardedSim, SnapshotConfig,
 };
 pub use simulator::{SimParams, Simulator};
 pub use striped::striped_map;

@@ -95,6 +95,14 @@ impl ShardedSim {
     /// `make_policy(shard_index)` builds each shard's policy — shards
     /// never share policy state, which is what keeps the fleet
     /// embarrassingly parallel *and* deterministic.
+    ///
+    /// A failing shard does not stop the fleet: every shard runs to
+    /// completion (or to its own error) for any worker count — one
+    /// worker included — and the error returned is that of the
+    /// lowest-indexed failing shard. The serial path used to stop at the
+    /// first failure; it now behaves like the threaded one, so which
+    /// snapshot files exist after a failed run does not depend on
+    /// `workers`.
     pub fn run_with<F>(&self, make_policy: &F) -> Result<Vec<SimReport>, SimError>
     where
         F: Fn(usize) -> Box<dyn Policy + Send> + Sync,
@@ -118,8 +126,10 @@ impl ShardedSim {
     }
 }
 
-/// Simulate one shard start to finish, optionally checkpointing.
-fn run_shard<Q: EventQueue>(
+/// Simulate one shard start to finish, optionally checkpointing (as
+/// shard `index` of the snapshot directory). Public for single-run
+/// callers that already hold their policy (`mrsch_cli simulate`).
+pub fn run_shard<Q: EventQueue>(
     spec: &ShardSpec,
     index: usize,
     snap: Option<&SnapshotConfig>,
