@@ -174,3 +174,43 @@ fn energy_drain_reports_nonzero_energy_and_plain_drain_does_not() {
     let plain = run(ScenarioSpec::Drain);
     assert_eq!(plain.energy_kwh(), 0.0, "plain drain carries no power model");
 }
+
+/// Picks a pseudo-random window slot per decision (an LCG).
+struct RandomWindow(u64);
+
+impl Policy for RandomWindow {
+    fn select(&mut self, view: &mrsim::SchedulerView<'_>) -> Option<usize> {
+        self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (!view.window.is_empty()).then(|| (self.0 >> 33) as usize % view.window.len())
+    }
+}
+
+#[test]
+fn units_are_conserved_after_every_step_of_every_registered_scenario() {
+    // `free + held == capacity` per pool is what the backfill pass's
+    // "free only shrinks" argument stands on. Inside the simulator it
+    // is a `debug_assert!`; this checks it with `assert!`, so a
+    // `cargo test --release` run (CI does one) checks it too.
+    for spec in ScenarioSpec::registered() {
+        let scenario = build(&spec);
+        let system = scenario.spec.system_for(&SystemConfig::two_resource(16, 8));
+        for episode in [3, 4] {
+            let episode = scenario.materialize(&system, episode);
+            let policies: [Box<dyn Policy>; 2] =
+                [Box::new(HeadOfQueue), Box::new(RandomWindow(episode.jobs.len() as u64))];
+            for mut policy in policies {
+                let mut sim = episode.simulator(system.clone()).expect("episode fits the system");
+                let mut steps = 0;
+                while sim.step(policy.as_mut()) {
+                    steps += 1;
+                    assert!(
+                        sim.pools().check_conservation(),
+                        "{spec}: units leaked by step {steps} (t = {})",
+                        sim.now()
+                    );
+                }
+                assert!(steps > 0, "{spec}: episode ran");
+            }
+        }
+    }
+}

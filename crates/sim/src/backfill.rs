@@ -8,6 +8,33 @@
 //! reservation: either they finish (by estimate) before the shadow time,
 //! or they only consume units that remain spare even after the reserved
 //! job starts.
+//!
+//! # Cost of one pass
+//!
+//! A pass (`Simulator::backfill_pass`) starts candidates one at a time,
+//! in queue order. It costs O(running · log running) per
+//! started candidate for the plan ([`compute_reservation`]: one sort of
+//! the estimated releases, then one accumulating walk) plus the queue
+//! query of [`crate::queue::WaitQueue::first_match`], which looks only at
+//! size classes that could fit the free units — not O(queue) per start.
+//! Three facts keep that equal to "recompute everything and rescan from
+//! the queue head after every start":
+//!
+//! * **Within a pass nothing un-rejects.** `now` is fixed. A started
+//!   candidate either releases by the shadow time or fits inside
+//!   `extra`, so the reserved job still fits at the shadow time and at
+//!   no earlier one: the shadow time does not move, and `free` and
+//!   `extra` only shrink. A candidate rejected once — does not fit, or
+//!   fits but would outlast the shadow on more than `extra`, or would
+//!   outlast the scheduled capacity return, which is fixed too — stays
+//!   rejected, so the sweep resumes behind the job it just started.
+//! * **A saturated pool ends the pass.** When some pool has fewer free
+//!   units than the smallest demand any job of the trace places on it,
+//!   nothing can start, whatever the plan says.
+//! * **No memo across passes.** "Only look at arrivals since the last
+//!   pass" is wrong whenever a running job overstays its estimate:
+//!   `extra` grows as `now` passes an `est_end`, with no release event
+//!   to invalidate the memo on. Every pass starts from the queue head.
 
 use crate::resources::PoolState;
 use crate::SimTime;
@@ -23,41 +50,49 @@ pub struct ReservationPlan {
     pub extra: Vec<u64>,
 }
 
-/// Compute the reservation plan for `job` against the current pool state.
+/// Compute the reservation plan for a job demanding `demands` against
+/// the current pool state.
 ///
 /// Candidate shadow times are `now` plus every distinct estimated release
-/// time of a running allocation; the earliest candidate where the job's
-/// full demand fits is chosen. Returns `None` when no candidate fits —
-/// which can only happen while capacity is drained below the job's
-/// demand (static validation guarantees a fit at full capacity). The
-/// reservation then waits for a capacity-return event to re-trigger
-/// scheduling; see `Simulator::backfill_pass` for how backfilling
-/// proceeds without a shadow time.
+/// time of a running allocation (overdue estimates count as `now`); the
+/// earliest candidate where the job's full demand fits is chosen. Pending
+/// drain debt is honored: freed units are absorbed by the drain before
+/// becoming available, exactly as [`PoolState::release`] will do.
+/// Returns `None` when no candidate fits — which can only happen while
+/// capacity is drained below the job's demand (static validation
+/// guarantees a fit at full capacity). The reservation then waits for a
+/// capacity-return event to re-trigger scheduling; see
+/// `Simulator::backfill_pass` for how backfilling proceeds without a
+/// shadow time.
 pub fn compute_reservation(
     pools: &PoolState,
     demands: &[u64],
     now: SimTime,
 ) -> Option<ReservationPlan> {
+    let mut releases: Vec<(SimTime, &[u64])> = pools
+        .running()
+        .iter()
+        .map(|a| (a.est_end.max(now), a.demands.as_slice()))
+        .collect();
+    releases.sort_unstable_by_key(|&(t, _)| t);
     let nres = pools.num_resources();
-    let mut candidates: Vec<SimTime> = vec![now];
-    candidates.extend(
-        pools
-            .running()
-            .iter()
-            .map(|a| a.est_end.max(now)),
-    );
-    candidates.sort_unstable();
-    candidates.dedup();
-    for &t in &candidates {
-        let fits = (0..nres).all(|r| pools.projected_free(r, t) >= demands[r]);
-        if fits {
-            let extra = (0..nres)
-                .map(|r| pools.projected_free(r, t) - demands[r])
-                .collect();
-            return Some(ReservationPlan { shadow: t, extra });
+    // Units free at the candidate time, before drain debt is paid.
+    let mut freed = pools.free.clone();
+    let mut releases = releases.into_iter().peekable();
+    let mut shadow = now;
+    loop {
+        while let Some((_, held)) = releases.next_if(|&(t, _)| t == shadow) {
+            for (f, h) in freed.iter_mut().zip(held) {
+                *f += h;
+            }
         }
+        let spare = |r: usize| freed[r].saturating_sub(pools.draining(r));
+        if (0..nres).all(|r| spare(r) >= demands[r]) {
+            let extra = (0..nres).map(|r| spare(r) - demands[r]).collect();
+            return Some(ReservationPlan { shadow, extra });
+        }
+        shadow = releases.peek()?.0;
     }
-    None
 }
 
 /// May `candidate` backfill right now without delaying the reservation?
@@ -82,6 +117,32 @@ pub fn can_backfill(
         return true;
     }
     demands.iter().zip(&plan.extra).all(|(d, e)| d <= e)
+}
+
+/// The pre-index planner, kept as the oracle the tests compare against:
+/// every candidate time re-derives every pool's projected free units
+/// from scratch ([`PoolState::projected_free`]), O(running²).
+#[cfg(test)]
+pub(crate) fn compute_reservation_reference(
+    pools: &PoolState,
+    demands: &[u64],
+    now: SimTime,
+) -> Option<ReservationPlan> {
+    let nres = pools.num_resources();
+    let mut candidates: Vec<SimTime> = vec![now];
+    candidates.extend(pools.running().iter().map(|a| a.est_end.max(now)));
+    candidates.sort_unstable();
+    candidates.dedup();
+    for &t in &candidates {
+        let fits = (0..nres).all(|r| pools.projected_free(r, t) >= demands[r]);
+        if fits {
+            let extra = (0..nres)
+                .map(|r| pools.projected_free(r, t) - demands[r])
+                .collect();
+            return Some(ReservationPlan { shadow: t, extra });
+        }
+    }
+    None
 }
 
 #[cfg(test)]
@@ -217,5 +278,40 @@ mod tests {
         let reserved = job(1, 10, 10, vec![10, 0]);
         let plan = compute_reservation(&pools, &reserved.demands, 50).unwrap();
         assert_eq!(plan.shadow, 50, "overdue releases count as 'now'");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The one-sort accumulating planner equals the O(running²)
+        /// reference on random pool states: overdue and tied estimates,
+        /// zero demands, drains that clip `projected_free` at zero and
+        /// demands no release can satisfy.
+        #[test]
+        fn planner_equals_the_reference_on_random_pools(
+            running in proptest::collection::vec(
+                (0u64..50, 1u64..40, (0u64..=6, 0u64..=4, 0u64..=5)),
+                0..12,
+            ),
+            drains in proptest::collection::vec((0usize..3, 1i64..14), 0..4),
+            demands in (0u64..=20, 0u64..=10, 0u64..=14),
+            now in 40u64..100,
+        ) {
+            let mut pools = PoolState::new(&SystemConfig::three_resource(16, 8, 12));
+            for (id, (start, estimate, (a, b, c))) in running.into_iter().enumerate() {
+                let j = job(id, estimate, estimate, vec![a, b, c]);
+                if pools.fits(&j.demands) {
+                    pools.allocate(&j, start);
+                }
+            }
+            for (r, units) in drains {
+                pools.adjust_capacity(r, -units);
+            }
+            let demands = [demands.0, demands.1, demands.2];
+            proptest::prop_assert_eq!(
+                compute_reservation(&pools, &demands, now),
+                compute_reservation_reference(&pools, &demands, now)
+            );
+        }
     }
 }

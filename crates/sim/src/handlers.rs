@@ -72,7 +72,7 @@ fn on_submit<Q: EventQueue>(sim: &mut Simulator<Q>, id: JobId) {
     if sim.pending_preds[id] > 0 {
         return;
     }
-    sim.queue.enqueue(id);
+    sim.queue.enqueue(id, sim.slab.demands(id));
 }
 
 /// A running job completes and releases its resources.
@@ -94,7 +94,7 @@ fn on_cancel<Q: EventQueue>(sim: &mut Simulator<Q>, id: JobId) {
     if sim.pools.is_running(id) {
         sim.pools.release(id);
         sim.settle(id, JobState::Cancelled, JobOutcome::Cancelled);
-    } else if sim.queue.try_remove(id) {
+    } else if sim.queue.remove(id, sim.slab.demands(id)) {
         sim.cancel_nonstarted(id);
     } else if sim.arrived[id] {
         // Arrived, not running, not in the queue, not terminal: the job

@@ -154,6 +154,10 @@ pub struct JobSlab {
     /// All demand vectors back to back; job `i` owns
     /// `demands[i * nres .. (i + 1) * nres]`.
     demands: Vec<u64>,
+    /// Per-resource minimum demand over the whole trace: a pool with
+    /// fewer free units than this can start no job at all, which ends a
+    /// backfill pass without looking at the queue.
+    min_demands: Vec<u64>,
     nres: usize,
 }
 
@@ -166,6 +170,7 @@ impl JobSlab {
             runtime: Vec::with_capacity(jobs.len()),
             estimate: Vec::with_capacity(jobs.len()),
             demands: Vec::with_capacity(jobs.len() * nres),
+            min_demands: vec![u64::MAX; nres],
             nres,
         };
         for job in jobs {
@@ -174,6 +179,9 @@ impl JobSlab {
             slab.runtime.push(job.runtime);
             slab.estimate.push(job.estimate);
             slab.demands.extend_from_slice(&job.demands);
+            for (min, &d) in slab.min_demands.iter_mut().zip(&job.demands) {
+                *min = (*min).min(d);
+            }
         }
         slab
     }
@@ -210,6 +218,13 @@ impl JobSlab {
     #[inline]
     pub fn demands(&self, id: JobId) -> &[u64] {
         &self.demands[id * self.nres..(id + 1) * self.nres]
+    }
+
+    /// The smallest demand any job of the trace places on each resource
+    /// (`u64::MAX` per resource for an empty trace).
+    #[inline]
+    pub fn min_demands(&self) -> &[u64] {
+        &self.min_demands
     }
 }
 
@@ -277,6 +292,8 @@ mod tests {
             assert_eq!(slab.estimate(job.id), job.estimate);
             assert_eq!(slab.demands(job.id), &job.demands[..]);
         }
+        assert_eq!(slab.min_demands(), &[0, 0]);
+        assert_eq!(JobSlab::from_jobs(&jobs[..1], 2).min_demands(), &[3, 1]);
     }
 
     #[test]

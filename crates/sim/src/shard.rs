@@ -149,7 +149,7 @@ pub fn run_shard<Q: EventQueue>(
     let mut batches = 0u64;
     while sim.step(policy.as_mut()) {
         batches += 1;
-        if batches % cfg.every == 0 {
+        if batches.is_multiple_of(cfg.every) {
             write_shard_snapshot(&cfg.dir, index, &sim)
                 .map_err(|e| SimError::Snapshot(format!("shard {index}: {e}")))?;
         }

@@ -241,12 +241,12 @@ impl<Q: EventQueue> Simulator<Q> {
         let mut sim = Self {
             pools: PoolState::new(&config),
             slab: JobSlab::from_jobs(&jobs, nres),
+            queue: WaitQueue::new(&config.capacities()),
             config,
             params,
             jobs,
             states: vec![JobState::Queued; n],
             events: Q::default(),
-            queue: WaitQueue::new(),
             collector: MetricsCollector::new(nres),
             records: Vec::new(),
             counts: EventCounts::new(),
@@ -320,7 +320,7 @@ impl<Q: EventQueue> Simulator<Q> {
                 && self.states[s] == JobState::Queued
                 && !self.queue.contains(s)
             {
-                self.queue.enqueue(s);
+                self.queue.enqueue(s, self.slab.demands(s));
             }
         }
         self.succs[p] = succs;
@@ -360,7 +360,7 @@ impl<Q: EventQueue> Simulator<Q> {
         self.states.clear();
         self.states.resize(n, JobState::Queued);
         self.events = Q::default();
-        self.queue = WaitQueue::new();
+        self.queue = WaitQueue::new(&self.config.capacities());
         self.pools = PoolState::new(&self.config);
         self.collector = MetricsCollector::new(self.config.num_resources());
         self.records.clear();
@@ -528,6 +528,12 @@ impl<Q: EventQueue> Simulator<Q> {
     /// snapshotting (`ShardedSim`) and the crash drills drive this
     /// directly instead of `run`.
     pub fn step(&mut self, policy: &mut dyn Policy) -> bool {
+        self.step_with(policy, Self::backfill_pass)
+    }
+
+    /// [`Simulator::step`] with the backfill pass as a parameter, so the
+    /// tests can drive the same engine through the reference pass.
+    fn step_with(&mut self, policy: &mut dyn Policy, backfill: fn(&mut Self, JobId)) -> bool {
         while let Some(event) = self.events.pop() {
             // Tombstoned events (see `handlers::is_live`) are dropped
             // without advancing the clock or triggering scheduling.
@@ -546,7 +552,7 @@ impl<Q: EventQueue> Simulator<Q> {
                 }
             }
             debug_assert!(self.pools.check_conservation());
-            self.schedule(policy);
+            self.schedule(policy, backfill);
             return true;
         }
         false
@@ -608,7 +614,8 @@ impl<Q: EventQueue> Simulator<Q> {
         let (runtime, estimate) = (self.slab.runtime(id), self.slab.estimate(id));
         self.pools.allocate_parts(id, self.slab.demands(id), self.now, estimate, runtime);
         self.states[id] = JobState::Running;
-        self.queue.remove(id);
+        let was_queued = self.queue.remove(id, self.slab.demands(id));
+        debug_assert!(was_queued, "started job {id} was not queued");
         // The job's natural end: a walltime kill at the estimate for
         // enforced overrunners, a finish at the runtime otherwise.
         let (end_kind, end_after) = if self.params.enforce_walltime && runtime > estimate {
@@ -642,7 +649,7 @@ impl<Q: EventQueue> Simulator<Q> {
 
     /// One scheduling instance: selection loop, then reservation +
     /// backfilling.
-    fn schedule(&mut self, policy: &mut dyn Policy) {
+    fn schedule(&mut self, policy: &mut dyn Policy, backfill: fn(&mut Self, JobId)) {
         if self.queue.is_empty() {
             return;
         }
@@ -691,12 +698,15 @@ impl<Q: EventQueue> Simulator<Q> {
         }
         if self.params.backfill {
             if let Some(res_id) = reserved {
-                self.backfill_pass(res_id);
+                backfill(self, res_id);
             }
         }
     }
 
-    /// EASY backfilling behind the reservation for `res_id`.
+    /// EASY backfilling behind the reservation for `res_id`: start, in
+    /// queue order, every waiting job that cannot delay it. One forward
+    /// sweep — see the [`crate::backfill`] module docs for why resuming
+    /// behind each started job equals rescanning from the head.
     ///
     /// When capacity is drained below the reserved job's demand no shadow
     /// time exists ([`compute_reservation`] returns `None`). The
@@ -708,9 +718,54 @@ impl<Q: EventQueue> Simulator<Q> {
     /// candidate may start — stalling the whole queue behind an
     /// infeasible job would be worse.
     fn backfill_pass(&mut self, res_id: JobId) {
-        loop {
+        let gate = self.earliest_capacity_return();
+        let mut from = 0;
+        // A pool with fewer free units than the trace's smallest demand
+        // on it can start nothing: leave without planning or sweeping.
+        while self.pools.fits(self.slab.min_demands()) {
             let plan =
                 compute_reservation(&self.pools, self.slab.demands(res_id), self.now);
+            let found = self
+                .queue
+                .first_match(from, &self.pools.free, |j| self.may_backfill(j, plan.as_ref(), gate));
+            let Some((seq, job)) = found else { break };
+            self.start_job(job, true);
+            from = seq + 1;
+        }
+    }
+
+    /// The admission test of one backfill candidate: the EASY rule under
+    /// a plan, else "ends before the scheduled capacity return", else
+    /// (permanent shrink) "fits". Every branch implies `pools.fits` —
+    /// which [`WaitQueue::first_match`] relies on, and which keeps the
+    /// reserved job itself (it does not fit) from passing.
+    fn may_backfill(
+        &self,
+        job: JobId,
+        plan: Option<&ReservationPlan>,
+        capacity_return: Option<SimTime>,
+    ) -> bool {
+        let (demands, estimate) = (self.slab.demands(job), self.slab.estimate(job));
+        match (plan, capacity_return) {
+            (Some(plan), _) => can_backfill(plan, &self.pools, demands, estimate, self.now),
+            (None, Some(t_return)) => {
+                self.pools.fits(demands) && self.now + estimate <= t_return
+            }
+            (None, None) => self.pools.fits(demands),
+        }
+    }
+
+    /// The pre-index pass, kept as the oracle the tests compare against:
+    /// after every start, recompute the plan with the O(running²) planner
+    /// and rescan the whole queue from its head.
+    #[cfg(test)]
+    fn backfill_pass_reference(&mut self, res_id: JobId) {
+        loop {
+            let plan = crate::backfill::compute_reservation_reference(
+                &self.pools,
+                self.slab.demands(res_id),
+                self.now,
+            );
             let gate = match &plan {
                 Some(_) => None,
                 None => self.earliest_capacity_return(),
@@ -1651,5 +1706,139 @@ mod tests {
         assert_eq!(report.energy_active_joules, 0.0);
         assert_eq!(report.energy_idle_joules, 0.0);
         assert_eq!(report.energy_total_joules(), 0.0);
+    }
+
+    /// Old-vs-new backfill: the same engine driven through
+    /// `backfill_pass` (one plan per start, one forward sweep over the
+    /// size-class index) and through `backfill_pass_reference` (the
+    /// literal pre-index loop) must start the same jobs at the same
+    /// times.
+    mod backfill_oracle {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Picks a pseudo-random window slot per decision (an LCG, so
+        /// two runs that see the same states make the same choices).
+        struct RandomWindow(u64);
+
+        impl Policy for RandomWindow {
+            fn select(&mut self, view: &SchedulerView<'_>) -> Option<usize> {
+                self.0 = self.0.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                (!view.window.is_empty()).then(|| (self.0 >> 33) as usize % view.window.len())
+            }
+        }
+
+        const CAPACITIES: [u64; 3] = [16, 8, 12];
+        /// Demand vectors many jobs share (zero demands included).
+        const PALETTE: [[u64; 3]; 4] = [[4, 2, 3], [1, 0, 1], [8, 4, 0], [2, 1, 12]];
+
+        /// (submit gap, runtime, estimate, demands, palette pick).
+        type JobDraw = (u64, u64, u64, (u64, u64, u64), u8);
+        /// (time, kind, job or pool, units, return delay).
+        type EventDraw = (u64, u8, usize, u64, u64);
+
+        #[derive(Clone, Debug)]
+        struct Case {
+            nres: usize,
+            jobs: Vec<Job>,
+            events: Vec<InjectedEvent>,
+            params: SimParams,
+            /// `None` = `HeadOfQueue`, `Some(seed)` = [`RandomWindow`].
+            policy_seed: Option<u64>,
+        }
+
+        fn case(
+            (nres, sharing, window, enforce_walltime): (usize, u8, usize, bool),
+            policy_seed: Option<u64>,
+            jobs: Vec<JobDraw>,
+            events: Vec<EventDraw>,
+        ) -> Case {
+            let mut submit = 0;
+            let jobs: Vec<Job> = jobs
+                .into_iter()
+                .enumerate()
+                .map(|(id, (gap, runtime, estimate, (a, b, c), pick))| {
+                    submit += gap;
+                    // sharing 0: every vector from the palette; 1: half
+                    // of them; 2: every job draws its own.
+                    let shared = sharing == 0 || (sharing == 1 && pick < 4);
+                    let demands = if shared { PALETTE[pick as usize % 4] } else { [a, b, c] };
+                    // A struct literal, not `Job::new`: the estimate may
+                    // fall short of the runtime (an overrun).
+                    Job { id, submit, runtime, estimate, demands: demands[..nres].to_vec() }
+                })
+                .collect();
+            let events = events
+                .into_iter()
+                .flat_map(|(time, kind, which, units, delay)| {
+                    let drain = EventKind::CapacityChange {
+                        resource: which % nres,
+                        delta: -(units as i64),
+                    };
+                    let back = EventKind::CapacityChange {
+                        resource: which % nres,
+                        delta: units as i64,
+                    };
+                    match kind {
+                        0 | 1 => vec![InjectedEvent::new(time, EventKind::Cancel(which % jobs.len()))],
+                        // A drain with a scheduled return (the gate
+                        // branch) and a permanent shrink (neither).
+                        2 => vec![
+                            InjectedEvent::new(time, drain),
+                            InjectedEvent::new(time + delay, back),
+                        ],
+                        _ => vec![InjectedEvent::new(time, drain)],
+                    }
+                })
+                .collect();
+            let params = SimParams { enforce_walltime, ..SimParams::new(window, true) };
+            Case { nres, jobs, events, params, policy_seed }
+        }
+
+        fn run(case: &Case, backfill: fn(&mut Simulator, JobId)) -> (Vec<JobRecord>, SimReport) {
+            let config = SystemConfig::new(
+                ["nodes", "bb", "power"][..case.nres]
+                    .iter()
+                    .zip(CAPACITIES)
+                    .map(|(name, cap)| crate::resources::ResourceSpec::new(*name, cap))
+                    .collect(),
+            );
+            let mut sim = Simulator::new(config, case.jobs.clone(), case.params).unwrap();
+            sim.inject_all(&case.events).unwrap();
+            let mut policy: Box<dyn Policy> = match case.policy_seed {
+                None => Box::new(HeadOfQueue),
+                Some(seed) => Box::new(RandomWindow(seed)),
+            };
+            while sim.step_with(policy.as_mut(), backfill) {
+                assert!(sim.pools.check_conservation());
+            }
+            (sim.records.clone(), sim.final_report())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            #[test]
+            fn new_pass_starts_what_the_restart_from_head_pass_starts(
+                shape in (2usize..=3, 0u8..3, 0usize..3, prop::bool::ANY),
+                policy in (prop::bool::ANY, 0u64..u64::MAX),
+                jobs in prop::collection::vec(
+                    (0u64..30, 1u64..120, 1u64..160, (0u64..=16, 0u64..=8, 0u64..=12), 0u8..8),
+                    1..60,
+                ),
+                events in prop::collection::vec(
+                    (0u64..1500, 0u8..4, 0usize..60, 1u64..14, 1u64..600),
+                    0..6,
+                ),
+            ) {
+                let (nres, sharing, window, enforce_walltime) = shape;
+                let shape = (nres, sharing, [1, 4, 10][window], enforce_walltime);
+                let case = case(shape, policy.0.then_some(policy.1), jobs, events);
+                let (new_records, new_report) = run(&case, Simulator::backfill_pass);
+                let (old_records, old_report) = run(&case, Simulator::backfill_pass_reference);
+                prop_assert_eq!(new_records, old_records);
+                prop_assert_eq!(new_report, old_report);
+            }
+        }
     }
 }

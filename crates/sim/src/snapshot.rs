@@ -535,7 +535,7 @@ impl<Q: EventQueue> Simulator<Q> {
             return Err(invalid(format!("pending event references out-of-range id: {bad:?}")));
         }
 
-        let mut queue = WaitQueue::new();
+        let mut queue = WaitQueue::new(&s.config.capacities());
         for &id in &s.waiting {
             if id >= n {
                 return Err(invalid(format!("waiting job {id} out of range")));
@@ -543,7 +543,7 @@ impl<Q: EventQueue> Simulator<Q> {
             if queue.contains(id) {
                 return Err(invalid(format!("waiting job {id} duplicated")));
             }
-            queue.enqueue(id);
+            queue.enqueue(id, &s.jobs[id].demands);
         }
 
         let mut events = Q::default();
@@ -681,6 +681,31 @@ mod tests {
             let (expected, got) = continue_from::<IndexedEventQueue, IndexedEventQueue>(k);
             assert_eq!(expected, reference);
             assert_eq!(got, reference, "restored run diverged after snapshot at step {k}");
+        }
+    }
+
+    #[test]
+    fn mid_backlog_snapshot_keeps_its_bytes_and_restore_rebuilds_the_index() {
+        // The size-class index of the wait queue is derived state: the
+        // frame stores `queue.all()` only. 35 steps in, 15 jobs wait.
+        let mut sim = disrupted_sim::<IndexedEventQueue>();
+        for _ in 0..35 {
+            assert!(sim.step(&mut HeadOfQueue));
+        }
+        assert_eq!(sim.queue.len(), 15);
+        let bytes = sim.snapshot();
+        // Length and FNV-1a of this frame as written before the index
+        // existed (commit 69a870a).
+        let digest = mrsch_snapshot::fnv1a64(&bytes);
+        assert_eq!((bytes.len(), digest), (3164, 0x7dc5_e342_acf7_8d7d));
+
+        let restored = Simulator::<IndexedEventQueue>::restore(&bytes).unwrap();
+        assert_eq!(restored.queue.all(), sim.queue.all());
+        for free in [[6, 4], [3, 1], [2, 0], [1, 1], [0, 0]] {
+            let fits = |j: usize| sim.jobs[j].demands.iter().zip(&free).all(|(d, f)| d <= f);
+            let expect = sim.queue.all().iter().copied().find(|&j| fits(j));
+            assert_eq!(sim.queue.first_match(0, &free, fits).map(|(_, j)| j), expect);
+            assert_eq!(restored.queue.first_match(0, &free, fits).map(|(_, j)| j), expect);
         }
     }
 
