@@ -5,7 +5,7 @@
 //! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 --policy mrsch
 //! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
 //! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
-//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8 --delay-us 2000
+//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8
 //! mrsch_cli fig fig5
 //! ```
 //!
@@ -44,7 +44,6 @@ use mrsim::{ShardSpec, SimTime, SnapshotConfig};
 use std::fmt;
 use std::path::Path;
 use std::str::FromStr;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Flag tables, the parser that reads them, and the usage text they print.
@@ -182,8 +181,7 @@ pub const SERVE_FLAGS: &[Flag] = &[
     flag("--mode", "stdin|tcp|loadtest", "stdin", "protocol lines on stdin/stdout, a TCP listener, or a seeded self-test"),
     flag("--addr", "HOST:PORT", "127.0.0.1:7077", "tcp: listen address"),
     flag("--policy", "SPEC", "mrsch", "DFP policy to serve: mrsch, mrsch:cnn"),
-    flag("--batch", "N", "8", "flush at queue depth N"),
-    flag("--delay-us", "MICROS", "2000", "... or once the oldest request has waited this long"),
+    flag("--batch", "N", "8", "most requests a free worker takes from the queue at once"),
     flag("--queue-capacity", "N", "1024", "queue bound before shedding"),
     flag("--workers", "N", "1", "batch worker threads"),
     flag("--window", "W", "10", "engine: actions / scheduling window"),
@@ -942,7 +940,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         addr: m.required("--addr", from_str)?,
         batcher: BatcherConfig {
             max_batch: m.required("--batch", positive)? as usize,
-            max_delay: Duration::from_micros(m.required("--delay-us", from_str)?),
             queue_capacity: m.required("--queue-capacity", from_str)?,
             workers: m.required("--workers", positive)? as usize,
         },
@@ -1388,7 +1385,7 @@ mod tests {
     fn loadtest_mode_end_to_end() {
         let out = serve_main(&argv(
             "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000 \
-             --batch 4 --delay-us 500",
+             --batch 4",
         ))
         .expect("loadtest runs");
         assert!(out.contains("32 answered, 0 dropped"), "report: {out}");

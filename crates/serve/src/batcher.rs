@@ -1,15 +1,24 @@
-//! Bounded micro-batching queue with a worker pool.
+//! Bounded, work-conserving micro-batching queue with a worker pool.
 //!
-//! Requests land in a bounded queue; a worker flushes a batch when
-//! either the queue depth reaches `max_batch` **or** the oldest queued
-//! request has waited `max_delay` (the classic depth-`B`-or-deadline-τ
-//! micro-batching policy). Each flush is one
-//! [`DecisionEngine::decide_batch`] call — one packed GEMM amortized
-//! over the whole batch.
+//! Requests land in a bounded queue. A worker that finds the queue
+//! non-empty takes `min(len, max_batch)` requests **now** — it never
+//! waits for a batch to fill. Batches still form, and exactly when
+//! they can help: whatever arrives while every worker is busy deciding
+//! is taken together by the next flush (natural batching under load).
+//! A flush of one is [`DecisionEngine::decide_one`]; a deeper flush is
+//! one [`DecisionEngine::decide_batch`] call.
+//!
+//! There is no flush deadline. Holding an idle worker back in the hope
+//! of a deeper batch pays off only if a batch of `B` costs less than
+//! `B` singles, and here it does not: one decision streams the weights
+//! once (~28 µs) and a batch of 8 costs 8 × that (the benchmark's
+//! `serve.decide_batch8_ns_per_req` vs `serve.decide_one_ns`), so a
+//! deadline would add its whole length to every lightly-loaded
+//! request's latency and buy no throughput.
 //!
 //! Because batched and single decisions are bit-identical (see
 //! [`crate::engine`]), the *decisions* served are a pure function of
-//! the requests: flush depth, deadline timing, and worker count only
+//! the requests: flush depth, arrival timing, and worker count only
 //! move latency/throughput, never outputs. The
 //! `flush_depth_never_changes_decisions` test locks this.
 //!
@@ -25,15 +34,13 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Micro-batching knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BatcherConfig {
-    /// Flush as soon as this many requests are queued.
+    /// The most requests one flush takes from the queue.
     pub max_batch: usize,
-    /// ... or as soon as the oldest queued request is this old.
-    pub max_delay: Duration,
     /// Queue bound; submits beyond it are dropped (shed, not blocked).
     pub queue_capacity: usize,
     /// Worker threads draining the queue.
@@ -44,7 +51,6 @@ impl Default for BatcherConfig {
     fn default() -> Self {
         Self {
             max_batch: 8,
-            max_delay: Duration::from_millis(2),
             queue_capacity: 1024,
             workers: 1,
         }
@@ -157,35 +163,15 @@ fn worker_loop(inner: &Inner) {
             }
             queue = inner.notify.wait(queue).unwrap();
         }
-        // Work is queued: wait for depth B or the oldest request's
-        // deadline. Both the deadline and emptiness must be re-checked
-        // after every wake-up — another worker may have drained the
-        // queue while we slept.
-        loop {
-            if queue.len() >= inner.cfg.max_batch || inner.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let Some(front) = queue.front() else { break };
-            let deadline = front.submitted + inner.cfg.max_delay;
-            let now = Instant::now();
-            if now >= deadline {
-                break;
-            }
-            let (q, _timeout) = inner.notify.wait_timeout(queue, deadline - now).unwrap();
-            queue = q;
-            if queue.is_empty() {
-                break;
-            }
-        }
-        if queue.is_empty() {
-            continue;
-        }
+        // Work-conserving: take what is queued now, never wait for more.
         let take = queue.len().min(inner.cfg.max_batch);
         let batch: Vec<Pending> = queue.drain(..take).collect();
         drop(queue);
 
-        let reqs: Vec<&Request> = batch.iter().map(|p| &p.req).collect();
-        let actions = inner.engine.decide_batch(&reqs);
+        let actions = match &batch[..] {
+            [only] => vec![inner.engine.decide_one(&only.req)],
+            many => inner.engine.decide_batch(&many.iter().map(|p| &p.req).collect::<Vec<_>>()),
+        };
         let completed = Instant::now();
         for (pending, action) in batch.into_iter().zip(actions) {
             // A closed receiver just means the client went away.
@@ -208,6 +194,7 @@ mod tests {
     use crate::loadgen::synth_requests;
     use std::collections::BTreeMap;
     use std::sync::mpsc;
+    use std::time::Duration;
 
     fn collect_decisions(
         engine: &DecisionEngine,
@@ -238,51 +225,74 @@ mod tests {
             let got = collect_decisions(
                 &engine,
                 &reqs,
-                BatcherConfig { max_batch, max_delay: Duration::from_millis(1), ..Default::default() },
+                BatcherConfig { max_batch, ..Default::default() },
             );
             assert_eq!(got, serial, "flush depth {max_batch} changed a decision");
         }
     }
 
     #[test]
-    fn deadline_flushes_partial_batches() {
+    fn a_lone_request_is_answered_at_once() {
         let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
-        let reqs = synth_requests(engine.config(), 3, 5);
-        // Depth 64 can never fill from 3 requests: only τ can flush.
-        let cfg = BatcherConfig {
-            max_batch: 64,
-            max_delay: Duration::from_millis(5),
-            ..Default::default()
-        };
-        let batcher = MicroBatcher::start(engine.clone(), cfg);
+        let reqs = synth_requests(engine.config(), 21, 5);
+        // Depth 64 can never fill from one request at a time: an idle
+        // worker must not wait for it to.
+        let batcher = MicroBatcher::start(engine, BatcherConfig { max_batch: 64, ..Default::default() });
         let (tx, rx) = mpsc::channel();
-        for req in &reqs {
-            assert!(batcher.submit(req.clone(), tx.clone()));
-        }
-        for _ in 0..reqs.len() {
-            let reply = rx.recv_timeout(Duration::from_secs(5)).expect("deadline flush");
-            assert!(reply.batch_size <= reqs.len());
-        }
+        let mut waited: Vec<Duration> = reqs
+            .iter()
+            .map(|req| {
+                assert!(batcher.submit(req.clone(), tx.clone()));
+                let reply = rx.recv_timeout(Duration::from_secs(5)).expect("no batch to wait for");
+                assert_eq!((reply.id, reply.batch_size), (req.id, 1));
+                reply.completed.duration_since(reply.submitted)
+            })
+            .collect();
         assert_eq!(batcher.dropped(), 0);
+        batcher.shutdown();
+        // One wake-up and one tiny decision: tens of microseconds. Any
+        // flush timer worth having would be longer than this bound.
+        waited.sort_unstable();
+        let median = waited[waited.len() / 2];
+        assert!(median < Duration::from_millis(1), "median queue wait + decision {median:?}");
+    }
+
+    #[test]
+    fn requests_queued_behind_a_busy_worker_flush_together() {
+        let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
+        let reqs = synth_requests(engine.config(), 11, 5);
+        let batcher = MicroBatcher::start(engine, BatcherConfig { max_batch: 8, ..Default::default() });
+        let (tx, rx) = mpsc::channel();
+        // Holding the queue lock keeps the single worker from taking
+        // anything, exactly as a decision in progress would, so the 11
+        // arrivals below are all queued when it next looks.
+        let mut queue = batcher.inner.queue.lock().unwrap();
+        for req in &reqs {
+            queue.push_back(Pending { req: req.clone(), submitted: Instant::now(), tx: tx.clone() });
+        }
+        drop(queue);
+        batcher.inner.notify.notify_one();
+        let sizes: Vec<usize> = reqs
+            .iter()
+            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("reply").batch_size)
+            .collect();
+        assert_eq!(sizes, [[8; 8].as_slice(), &[3; 3]].concat(), "one full flush, then the rest");
         batcher.shutdown();
     }
 
     #[test]
     fn full_queue_sheds_instead_of_blocking() {
         let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
-        let reqs = synth_requests(engine.config(), 4, 1);
-        let cfg = BatcherConfig { queue_capacity: 2, max_delay: Duration::from_secs(5), ..Default::default() };
-        let batcher = MicroBatcher::start(engine, cfg);
-        // Stuff the queue faster than the (deadline-gated) worker drains.
-        let (tx, _rx) = mpsc::channel();
-        let mut accepted = 0;
-        for req in &reqs {
-            if batcher.submit(req.clone(), tx.clone()) {
-                accepted += 1;
-            }
-        }
-        assert!(accepted >= 2, "capacity-2 queue must accept at least 2");
-        assert_eq!(batcher.dropped() + accepted, reqs.len() as u64);
+        let reqs = synth_requests(engine.config(), 256, 1);
+        let batcher = MicroBatcher::start(engine, BatcherConfig { queue_capacity: 2, ..Default::default() });
+        // Submit faster than one decision takes: whatever does not fit
+        // is refused at once, and every accepted request is answered.
+        let (tx, rx) = mpsc::channel();
+        let accepted = reqs.iter().filter(|req| batcher.submit((*req).clone(), tx.clone())).count();
+        drop(tx);
+        assert!(accepted >= 2, "an empty capacity-2 queue accepts the first two");
+        assert_eq!(batcher.dropped() + accepted as u64, reqs.len() as u64);
         batcher.shutdown();
+        assert_eq!(rx.iter().count(), accepted);
     }
 }

@@ -14,9 +14,9 @@
 //! The two are **bit-identical** per request: every output element of a
 //! GEMM is a `mul_add` chain over its own row/column only, so stacking
 //! rows can never change any row's result. `decide_batch` therefore
-//! returns exactly what `B` separate `decide_one` calls would — the
-//! micro-batcher trades latency for throughput without ever trading
-//! away determinism (locked by tests here and in `batcher`).
+//! returns exactly what `B` separate `decide_one` calls would — how
+//! deep the micro-batcher's flushes happen to be can never change a
+//! decision (locked by tests here and in `batcher`).
 
 use crate::protocol::Request;
 use mrsch::prelude::{JobSource, Scenario, SimParams, SystemConfig, ThetaConfig, WorkloadSpec};

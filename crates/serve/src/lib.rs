@@ -12,23 +12,26 @@
 //!   answering single requests (fused-gemv hot path) or whole
 //!   micro-batches (one packed GEMM), **bit-identically** — coalescing
 //!   can never change a decision;
-//! * [`batcher`] — a bounded micro-batching queue: requests accumulate
-//!   until depth `B` or a deadline `τ`, then a worker pool flushes them
-//!   through [`engine::DecisionEngine::decide_batch`];
+//! * [`batcher`] — a bounded, work-conserving micro-batching queue: a
+//!   free worker takes whatever is queued (up to `max_batch`) at once,
+//!   so batches form only out of requests that arrived while every
+//!   worker was busy, and an idle service answers in the time one
+//!   decision takes — there is no flush deadline to wait out;
 //! * [`histogram`] — an HDR-style log-bucketed latency histogram
 //!   (p50/p95/p99 at ≤ 1/16 relative error, fixed memory);
 //! * [`loadgen`] — a seeded open-arrival load generator (Poisson
 //!   arrival gaps from `mrsch_workload::stress`, scaled to a target
 //!   QPS) for self-contained load tests;
-//! * [`server`] — stdin and TCP serving loops plus the
-//!   [`server::run_loadtest`] harness used by CI and the bench suite.
+//! * [`server`] — stdin and TCP serving loops (replies leave as whole
+//!   lines, one write per burst, `TCP_NODELAY` on) plus the
+//!   [`server::run_loadtest`] harness used by CI.
 //!
 //! The `mrsch_cli serve` front door lives with the other subcommands in
 //! `mrsch_experiments::cli`.
 //!
 //! Determinism: the decision path inherits the GEMM/gemv bit-exactness
 //! contract, so the served action stream is a pure function of
-//! `(weights, request)` — independent of batching depth, flush timing,
+//! `(weights, request)` — independent of batching depth, arrival timing,
 //! worker count, and transport.
 
 pub mod batcher;

@@ -10,6 +10,9 @@
 //! * `state_csv` / `meas_csv` / `goal_csv` — comma-separated `f32`
 //!   vectors (the encoder's state, the current measurement vector, the
 //!   goal vector — exactly the inputs of `DfpNetwork::action_scores`);
+//!   every value must be finite: `nan`, `inf` and literals that
+//!   overflow to infinity are malformed, since one of them would turn
+//!   every action score NaN;
 //! * `valid_bits` — one `0`/`1` per action (the window validity mask).
 //!
 //! Responses are `id;action` (the chosen window slot) or `id;none`
@@ -40,7 +43,13 @@ fn parse_f32_csv(field: &str, what: &str) -> Result<Vec<f32>, String> {
     }
     field
         .split(',')
-        .map(|t| t.trim().parse::<f32>().map_err(|_| format!("{what}: bad float '{t}'")))
+        .map(|t| match t.trim().parse::<f32>() {
+            // `str::parse` accepts `nan`, `inf` and rounds `1e39` to
+            // infinity; one of those turns every score NaN.
+            Ok(x) if x.is_finite() => Ok(x),
+            Ok(_) => Err(format!("{what}: non-finite value '{t}'")),
+            Err(_) => Err(format!("{what}: bad float '{t}'")),
+        })
         .collect()
 }
 
@@ -80,12 +89,21 @@ pub fn format_request(req: &Request) -> String {
     format!("{};{};{};{};{}", req.id, csv(&req.state), csv(&req.meas), csv(&req.goal), bits)
 }
 
+/// Append a response — `id;action` or `id;none`, no newline — to `out`.
+pub(crate) fn append_response(out: &mut String, id: u64, action: Option<usize>) {
+    use std::fmt::Write;
+    // Writing to a `String` cannot fail.
+    let _ = match action {
+        Some(a) => write!(out, "{id};{a}"),
+        None => write!(out, "{id};none"),
+    };
+}
+
 /// Render a response line: `id;action` or `id;none`.
 pub fn format_response(id: u64, action: Option<usize>) -> String {
-    match action {
-        Some(a) => format!("{id};{a}"),
-        None => format!("{id};none"),
-    }
+    let mut line = String::new();
+    append_response(&mut line, id, action);
+    line
 }
 
 /// Parse a response line (the load generator checks echoes with this).
@@ -137,6 +155,9 @@ mod tests {
             "1;1.0;1.0;1.0;",              // empty valid mask
             "1;1.0;1.0;1.0;12",            // bad bit
             "1;1.0;nan?;1.0;1",            // bad float
+            "1;nan;1.0;1.0;1",             // floats `str::parse` accepts
+            "1;1.0;-inf;1.0;1",            //   but no network should see
+            "1;1.0;1.0;1e39;1",            //   (1e39 overflows to inf)
             "1;1.0;1.0;1.0;1;extra",       // trailing field
         ] {
             assert!(parse_request(bad).is_err(), "should reject {bad:?}");

@@ -7,6 +7,14 @@
 //! connections onto **one** shared batcher — concurrent clients are
 //! exactly what gives the micro-batcher batches to coalesce.
 //!
+//! Replies leave whole: the writer blocks for one reply, appends every
+//! other reply already waiting, and hands the burst to the transport
+//! as **one** `write_all` of complete `id;action\n` lines. A reply
+//! split over two small writes is what Nagle's algorithm holds back
+//! until the peer's delayed ACK (40 ms per round trip on Linux), so
+//! accepted sockets also get `TCP_NODELAY`: nothing here ever has a
+//! second half to wait for.
+//!
 //! [`run_loadtest`] closes the loop for CI: a seeded open-arrival
 //! request schedule ([`crate::loadgen`]) is pushed through a batcher
 //! and the reply stream is folded into a [`LatencyHistogram`], yielding
@@ -16,8 +24,8 @@ use crate::batcher::{BatcherConfig, MicroBatcher, Reply};
 use crate::engine::DecisionEngine;
 use crate::histogram::LatencyHistogram;
 use crate::loadgen::{arrival_offsets, synth_requests, LoadgenConfig};
-use crate::protocol::{format_response, parse_request};
-use std::io::{BufRead, BufReader, Write};
+use crate::protocol::{append_response, parse_request};
+use std::io::{BufRead, BufReader, ErrorKind, Write};
 use std::net::TcpListener;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -31,29 +39,40 @@ struct PumpStats {
     hist: LatencyHistogram,
 }
 
-/// Read lines from `input`, submit to `batcher`, stream responses to
-/// `output` as they complete. Returns once `input` hits EOF and every
-/// accepted request has been answered.
-fn pump<R: BufRead, W: Write + Send + 'static>(
-    batcher: &MicroBatcher,
-    input: R,
-    mut output: W,
-) -> PumpStats {
-    let (tx, rx) = mpsc::channel::<Reply>();
-    let writer = std::thread::spawn(move || {
-        let mut hist = LatencyHistogram::new();
-        for reply in rx {
+/// The writer half of a pump: block for one reply, append every other
+/// reply already waiting, and write the burst as one buffer of whole
+/// lines. Returns the decision latencies once every sender is gone.
+fn write_replies<W: Write>(rx: &mpsc::Receiver<Reply>, mut output: W) -> LatencyHistogram {
+    let mut hist = LatencyHistogram::new();
+    let mut burst = String::new();
+    while let Ok(first) = rx.recv() {
+        burst.clear();
+        for reply in std::iter::once(first).chain(rx.try_iter()) {
             // batch_size == 0 marks synthetic replies (shape errors,
             // shed requests) — answered, but not a measured decision.
             if reply.batch_size > 0 {
                 let ns = reply.completed.duration_since(reply.submitted).as_nanos() as u64;
                 hist.record(ns);
             }
-            let _ = writeln!(output, "{}", format_response(reply.id, reply.action));
-            let _ = output.flush();
+            append_response(&mut burst, reply.id, reply.action);
+            burst.push('\n');
         }
-        hist
-    });
+        let _ = output.write_all(burst.as_bytes());
+        let _ = output.flush();
+    }
+    hist
+}
+
+/// Read lines from `input`, submit to `batcher`, stream responses to
+/// `output` as they complete. Returns once `input` hits EOF and every
+/// accepted request has been answered.
+fn pump<R: BufRead, W: Write + Send + 'static>(
+    batcher: &MicroBatcher,
+    input: R,
+    output: W,
+) -> PumpStats {
+    let (tx, rx) = mpsc::channel::<Reply>();
+    let writer = std::thread::spawn(move || write_replies(&rx, output));
 
     let mut stats = PumpStats { submitted: 0, malformed: 0, shed: 0, hist: LatencyHistogram::new() };
     let refuse = |id: u64, tx: &mpsc::Sender<Reply>| {
@@ -61,7 +80,17 @@ fn pump<R: BufRead, W: Write + Send + 'static>(
         let _ = tx.send(Reply { id, action: None, submitted: now, completed: now, batch_size: 0 });
     };
     for line in input.lines() {
-        let Ok(line) = line else { break };
+        let line = match line {
+            Ok(line) => line,
+            // A line that is not UTF-8 has been consumed whole; it is
+            // one bad request, not the end of the connection.
+            Err(err) if err.kind() == ErrorKind::InvalidData => {
+                stats.malformed += 1;
+                eprintln!("mrsch-serve: malformed request: {err}");
+                continue;
+            }
+            Err(_) => break,
+        };
         if line.trim().is_empty() {
             continue;
         }
@@ -144,6 +173,7 @@ pub fn serve_listener(
     let mut served = 0usize;
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("accept: {e}"))?;
+        stream.set_nodelay(true).map_err(|e| format!("set TCP_NODELAY: {e}"))?;
         let write_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
         let batcher = Arc::clone(&batcher);
         handles.push(std::thread::spawn(move || {
@@ -266,13 +296,14 @@ mod tests {
         build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..EngineSpec::default() })
     }
 
-    /// A Write sink tests can read back after the writer thread exits.
+    /// A Write sink that keeps each `write` call apart, for tests to
+    /// read back after the writer thread exits.
     #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    struct SharedBuf(Arc<Mutex<Vec<Vec<u8>>>>);
 
     impl Write for SharedBuf {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().extend_from_slice(buf);
+            self.0.lock().unwrap().push(buf.to_vec());
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -281,7 +312,7 @@ mod tests {
     }
 
     fn responses(buf: &SharedBuf) -> Vec<(u64, Option<usize>)> {
-        let bytes = buf.0.lock().unwrap().clone();
+        let bytes = buf.0.lock().unwrap().concat();
         String::from_utf8(bytes)
             .unwrap()
             .lines()
@@ -300,7 +331,7 @@ mod tests {
         let out = SharedBuf::default();
         let line = serve_stream(
             engine,
-            BatcherConfig { max_delay: Duration::from_millis(1), ..Default::default() },
+            BatcherConfig::default(),
             Cursor::new(input),
             out.clone(),
         );
@@ -358,11 +389,96 @@ mod tests {
     }
 
     #[test]
+    fn every_write_is_whole_lines_and_waiting_replies_leave_together() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 40, 8);
+        let input: String = reqs.iter().map(|r| format_request(r) + "\n").collect();
+        let out = SharedBuf::default();
+        serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
+        let writes = out.0.lock().unwrap().clone();
+        assert!(!writes.is_empty() && writes.len() <= reqs.len());
+        for write in &writes {
+            let text = std::str::from_utf8(write).unwrap();
+            assert!(text.ends_with('\n'), "a write ends mid-line: {text:?}");
+            assert!(text.lines().all(|l| parse_response(l).is_ok()), "not whole replies: {text:?}");
+        }
+        assert_eq!(responses(&out).len(), reqs.len());
+
+        // Five replies already waiting when the writer wakes: one write.
+        let (tx, rx) = mpsc::channel();
+        let now = Instant::now();
+        for id in 0..5 {
+            tx.send(Reply { id, action: Some(1), submitted: now, completed: now, batch_size: 1 }).unwrap();
+        }
+        drop(tx);
+        let out = SharedBuf::default();
+        let hist = write_replies(&rx, out.clone());
+        assert_eq!(hist.count(), 5);
+        assert_eq!(*out.0.lock().unwrap(), [b"0;1\n1;1\n2;1\n3;1\n4;1\n".to_vec()]);
+    }
+
+    #[test]
+    fn hostile_lines_are_counted_and_the_stream_goes_on() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 2, 33);
+        let good = format_request(&reqs[1]);
+        let mut input = format_request(&reqs[0]).into_bytes();
+        // Not UTF-8, then well-shaped lines carrying nan / inf / an
+        // overflowing literal where a finite value belongs.
+        input.extend_from_slice(b"\n\xff\xfe;1;1;1;1\n");
+        for bad in ["nan", "inf", "-inf", "1e39"] {
+            input.extend_from_slice(good.replacen(';', &format!(";{bad},"), 1).as_bytes());
+            input.push(b'\n');
+        }
+        input.extend_from_slice(good.as_bytes());
+        input.push(b'\n');
+        let out = SharedBuf::default();
+        let line = serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
+        assert!(line.contains("served 2 decisions (5 malformed"), "summary: {line}");
+        let ids: Vec<u64> = responses(&out).iter().map(|r| r.0).collect();
+        assert_eq!(ids, [reqs[0].id, reqs[1].id], "only the two real requests are answered");
+    }
+
+    #[test]
+    fn tcp_depth_one_round_trip_waits_for_nothing_but_the_decision() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 50, 77);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            serve_listener(listener, engine, BatcherConfig::default(), Some(1))
+        });
+
+        let mut conn = TcpStream::connect(addr).expect("connect");
+        let mut replies = BufReader::new(conn.try_clone().unwrap());
+        let mut reply = String::new();
+        let mut rtt: Vec<Duration> = reqs
+            .iter()
+            .map(|r| {
+                let line = format_request(r) + "\n";
+                let sent = Instant::now();
+                conn.write_all(line.as_bytes()).unwrap();
+                reply.clear();
+                replies.read_line(&mut reply).unwrap();
+                assert_eq!(parse_response(&reply).unwrap().0, r.id);
+                sent.elapsed()
+            })
+            .collect();
+        conn.shutdown(std::net::Shutdown::Write).unwrap();
+        server.join().unwrap().expect("server ok");
+        rtt.sort_unstable();
+        // A reply held for a delayed ACK costs 40 ms and a flush
+        // deadline its own length; a decision costs microseconds.
+        let median = rtt[rtt.len() / 2];
+        assert!(median < Duration::from_millis(10), "median round trip {median:?}");
+    }
+
+    #[test]
     fn loadtest_answers_all_requests_with_zero_drops() {
         let engine = test_engine();
         let report = run_loadtest(
             engine,
-            BatcherConfig { max_delay: Duration::from_micros(500), ..Default::default() },
+            BatcherConfig::default(),
             &LoadgenConfig { requests: 64, target_qps: 2_000.0, seed: 9 },
         );
         assert_eq!(report.total, 64);
