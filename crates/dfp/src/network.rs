@@ -274,45 +274,6 @@ impl DfpNetwork {
             .collect()
     }
 
-    /// Batched [`DfpNetwork::action_scores_shared`]: score every action
-    /// for `B` independent samples in one packed forward pass.
-    ///
-    /// Row `r` of the result is **bit-identical** to
-    /// `action_scores_shared(states.row(r), meas.row(r), goals.row(r))`:
-    /// the GEMM determinism contract makes each output element a
-    /// per-(row, column) reduction chain independent of the batch
-    /// extent, the dueling combination is per-row, and the goal-weighted
-    /// dot below runs in the exact same order. This is the correctness
-    /// basis of the serving micro-batcher — coalescing requests cannot
-    /// change a decision.
-    pub fn action_scores_batched(
-        &self,
-        states: &Matrix,
-        meas: &Matrix,
-        goals: &Matrix,
-    ) -> Vec<Vec<f32>> {
-        let batch = states.rows();
-        assert_eq!(meas.rows(), batch, "action_scores_batched: meas rows");
-        assert_eq!(goals.rows(), batch, "action_scores_batched: goal rows");
-        if batch == 0 {
-            return Vec::new();
-        }
-        let pred = self.forward_inference(states, meas, goals);
-        let mt = self.cfg.pred_width();
-        (0..batch)
-            .map(|r| {
-                let w = self.extended_goal(goals.row(r));
-                let row = pred.row(r);
-                (0..self.cfg.num_actions)
-                    .map(|a| {
-                        let block = &row[a * mt..(a + 1) * mt];
-                        block.iter().zip(&w).map(|(p, wk)| p * wk).sum()
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
     /// Serialize all subnet parameters into a self-describing checkpoint.
     pub fn save_checkpoint(&mut self) -> bytes::Bytes {
         mrsch_nn::checkpoint::save_visitor(|f| self.visit_params(&mut |p, g| f(p, g)))
@@ -593,33 +554,6 @@ mod tests {
             let cached = net.forward(&s, &m, &g);
             let shared = net.forward_inference(&s, &m, &g);
             assert_eq!(cached, shared, "{kind:?}: shared path must be bit-identical");
-        }
-    }
-
-    /// Micro-batching contract: one packed B-row scoring pass must be
-    /// bit-identical to B independent single-sample calls.
-    #[test]
-    fn batched_scores_bit_identical_to_shared() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let cfg = tiny_cfg();
-        let net = DfpNetwork::new(cfg.clone(), &mut rng);
-        for batch in [1usize, 4, 8] {
-            let s = rand_input(&mut rng, batch, cfg.state_dim);
-            let m = rand_input(&mut rng, batch, cfg.measurement_dim);
-            let g = rand_input(&mut rng, batch, cfg.measurement_dim);
-            let batched = net.action_scores_batched(&s, &m, &g);
-            assert_eq!(batched.len(), batch);
-            for r in 0..batch {
-                let single = net.action_scores_shared(s.row(r), m.row(r), g.row(r));
-                assert_eq!(batched[r].len(), single.len());
-                for (a, b) in batched[r].iter().zip(&single) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "batch={batch} row={r}: batched scores drifted"
-                    );
-                }
-            }
         }
     }
 

@@ -157,10 +157,10 @@ impl PolicySnapshot {
         &self.cfg
     }
 
-    /// The frozen network, for callers that batch their own scoring
-    /// (e.g. the serving engine coalesces concurrent requests into one
-    /// [`DfpNetwork::action_scores_batched`] pass and then applies the
-    /// same greedy rule via [`greedy_from_scores`]).
+    /// The frozen network, for callers that score requests themselves
+    /// (e.g. the serving engine calls
+    /// [`DfpNetwork::action_scores_shared`] and then applies the same
+    /// greedy rule via [`greedy_from_scores`]).
     pub fn network(&self) -> &DfpNetwork {
         &self.net
     }
@@ -235,10 +235,9 @@ pub fn act_epsilon_greedy<R: Rng + ?Sized>(
 
 /// The pure greedy tail of [`act_epsilon_greedy`]: argmax of the
 /// goal-weighted scores over valid actions with the deterministic
-/// lowest-index tie-break. Factored out so batched scoring paths (the
-/// serving engine scores `B` requests in one packed forward pass) decide
-/// *exactly* like the per-sample rule. Returns `None` when no action is
-/// valid.
+/// lowest-index tie-break. Factored out so callers that score through
+/// their own network handle (the serving engine) decide *exactly* like
+/// the ε-greedy rule. Returns `None` when no action is valid.
 pub fn greedy_from_scores(scores: &[f32], valid: &[bool]) -> Option<usize> {
     valid
         .iter()

@@ -5,7 +5,7 @@
 //! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 --policy mrsch
 //! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
 //! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
-//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --batch 8
+//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --workers 2
 //! mrsch_cli fig fig5
 //! ```
 //!
@@ -181,9 +181,8 @@ pub const SERVE_FLAGS: &[Flag] = &[
     flag("--mode", "stdin|tcp|loadtest", "stdin", "protocol lines on stdin/stdout, a TCP listener, or a seeded self-test"),
     flag("--addr", "HOST:PORT", "127.0.0.1:7077", "tcp: listen address"),
     flag("--policy", "SPEC", "mrsch", "DFP policy to serve: mrsch, mrsch:cnn"),
-    flag("--batch", "N", "8", "most requests a free worker takes from the queue at once"),
     flag("--queue-capacity", "N", "1024", "queue bound before shedding"),
-    flag("--workers", "N", "1", "batch worker threads"),
+    flag("--workers", "N", "1", "decision worker threads (never changes a decision)"),
     flag("--window", "W", "10", "engine: actions / scheduling window"),
     flag("--nodes", "N", "256", "engine: compute nodes"),
     flag("--bb", "N", "75", "engine: burst-buffer units"),
@@ -304,8 +303,8 @@ where
     s.parse().map_err(|e: T::Err| e.to_string())
 }
 
-/// A count that must be at least 1 (machine sizes, windows, worker and
-/// batch counts: zero would panic deep inside the run).
+/// A count that must be at least 1 (machine sizes, windows, worker
+/// counts: zero would panic deep inside the run).
 fn positive(s: &str) -> Result<u64, String> {
     match from_str(s)? {
         0 => Err("must be positive".into()),
@@ -916,7 +915,7 @@ pub struct ServeArgs {
     pub mode: ServeMode,
     /// TCP listen address.
     pub addr: String,
-    /// Micro-batching knobs.
+    /// Request-queue and worker-pool knobs.
     pub batcher: BatcherConfig,
     /// What network to build (and optionally train) — the policy is
     /// resolved through the registry, so `serve` and `evaluate` can
@@ -939,7 +938,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
         })?,
         addr: m.required("--addr", from_str)?,
         batcher: BatcherConfig {
-            max_batch: m.required("--batch", positive)? as usize,
             queue_capacity: m.required("--queue-capacity", from_str)?,
             workers: m.required("--workers", positive)? as usize,
         },
@@ -979,7 +977,7 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
             format!(
                 "loadtest: {} requests at {:.0} qps target -> {} answered, {} dropped | \
                  latency p50={}us p95={}us p99={}us mean={}us max={}us | \
-                 achieved {:.0} qps, mean batch {:.2}",
+                 achieved {:.0} qps",
                 load.requests,
                 load.target_qps,
                 report.total,
@@ -990,7 +988,6 @@ pub fn serve_main(args: &[String]) -> Result<String, String> {
                 report.mean_ns / 1_000,
                 report.max_ns / 1_000,
                 report.qps,
-                report.mean_batch,
             )
         }
     };
@@ -1385,7 +1382,7 @@ mod tests {
     fn loadtest_mode_end_to_end() {
         let out = serve_main(&argv(
             "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000 \
-             --batch 4",
+             --workers 2",
         ))
         .expect("loadtest runs");
         assert!(out.contains("32 answered, 0 dropped"), "report: {out}");
@@ -1397,8 +1394,13 @@ mod tests {
         let err = |s: &str| serve_main(&argv(s)).unwrap_err();
         assert!(err("--mode warp").contains("unknown mode"));
         assert!(err("--frobnicate 3").contains("unknown flag"));
-        assert!(err("--batch").contains("requires a value"));
-        assert!(err("--batch 0").contains("must be positive"));
+        assert!(err("--workers").contains("requires a value"));
+        assert!(err("--workers 0").contains("must be positive"));
+        // Workers decide one request at a time: there is no flush depth.
+        assert_eq!(
+            parse_serve_args(&args(&["--batch", "8"])).unwrap_err(),
+            CliError::UnknownFlag("--batch".into())
+        );
         assert!(err("--policy fcfs").contains("not a servable"));
         assert!(run(&argv("serve --help")).unwrap().contains("mrsch_cli serve"));
     }

@@ -196,29 +196,6 @@ impl Sequential {
         cur
     }
 
-    /// Run `B` independent feature rows through the network as one
-    /// packed `(B, features)` batch.
-    ///
-    /// Bit-identical to `B` separate single-row
-    /// [`Sequential::forward_inference`] calls: the GEMM determinism
-    /// contract makes every output element a per-(row, column) `mul_add`
-    /// chain independent of the batch extent, and activations are
-    /// element-wise. This is what lets the serving micro-batcher coalesce
-    /// concurrent decision requests without changing any decision.
-    ///
-    /// # Panics
-    /// Panics when `rows` is empty or the rows have unequal widths.
-    pub fn forward_inference_batched(&self, rows: &[&[f32]]) -> Matrix {
-        assert!(!rows.is_empty(), "forward_inference_batched: empty batch");
-        let cols = rows[0].len();
-        let mut x = Matrix::zeros(rows.len(), cols);
-        for (r, src) in rows.iter().enumerate() {
-            assert_eq!(src.len(), cols, "forward_inference_batched: ragged row {r}");
-            x.row_mut(r).copy_from_slice(src);
-        }
-        self.forward_inference(&x)
-    }
-
     /// Backward pass. `grad_out` is dLoss/dOutput; returns dLoss/dInput.
     ///
     /// Parameter gradients accumulate (are *not* zeroed first), enabling
@@ -442,28 +419,6 @@ mod tests {
                 for (a, b) in got.as_slice().iter().zip(want.as_slice()) {
                     assert_eq!(a.to_bits(), b.to_bits(), "scratch path drifted (rows={rows})");
                 }
-            }
-        }
-    }
-
-    /// One packed `(B, features)` batch must decide exactly like `B`
-    /// independent single-row calls — the micro-batching correctness
-    /// contract.
-    #[test]
-    fn batched_inference_bit_identical_to_sequential_rows() {
-        let mut rng = StdRng::seed_from_u64(22);
-        let net = Sequential::new()
-            .dense(6, 11, &mut rng)
-            .activation(Activation::Relu)
-            .dense(11, 4, &mut rng);
-        let x = mrsch_linalg::init::gaussian_matrix(&mut rng, 7, 6, 1.0);
-        let rows: Vec<&[f32]> = (0..x.rows()).map(|r| x.row(r)).collect();
-        let batched = net.forward_inference_batched(&rows);
-        assert_eq!(batched.shape(), (7, 4));
-        for (r, row) in rows.iter().enumerate() {
-            let single = net.forward_inference(&Matrix::from_vec(1, 6, row.to_vec()));
-            for (a, b) in batched.row(r).iter().zip(single.as_slice()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "batched row {r} drifted from single-row call");
             }
         }
     }

@@ -1,26 +1,18 @@
-//! Bounded, work-conserving micro-batching queue with a worker pool.
+//! Bounded, work-conserving request queue with a worker pool.
 //!
-//! Requests land in a bounded queue. A worker that finds the queue
-//! non-empty takes `min(len, max_batch)` requests **now** — it never
-//! waits for a batch to fill. Batches still form, and exactly when
-//! they can help: whatever arrives while every worker is busy deciding
-//! is taken together by the next flush (natural batching under load).
-//! A flush of one is [`DecisionEngine::decide_one`]; a deeper flush is
-//! one [`DecisionEngine::decide_batch`] call.
+//! Requests land in a bounded queue. A free worker pops the oldest one
+//! and decides it with [`DecisionEngine::decide_one`] **now** — it
+//! never waits for company. There is no batched path and no flush
+//! deadline: one decision streams the weights once, and a packed batch
+//! of 8 measured no cheaper per request than 8 singles (the benchmark's
+//! `serve.decide_batch8_ns_per_req` vs `serve.decide_one_ns`), so
+//! holding a request back to decide it with others would add latency
+//! and buy no throughput. The type keeps its `MicroBatcher` name
+//! because the end-to-end benchmark harness imports it.
 //!
-//! There is no flush deadline. Holding an idle worker back in the hope
-//! of a deeper batch pays off only if a batch of `B` costs less than
-//! `B` singles, and here it does not: one decision streams the weights
-//! once (~28 µs) and a batch of 8 costs 8 × that (the benchmark's
-//! `serve.decide_batch8_ns_per_req` vs `serve.decide_one_ns`), so a
-//! deadline would add its whole length to every lightly-loaded
-//! request's latency and buy no throughput.
-//!
-//! Because batched and single decisions are bit-identical (see
-//! [`crate::engine`]), the *decisions* served are a pure function of
-//! the requests: flush depth, arrival timing, and worker count only
-//! move latency/throughput, never outputs. The
-//! `flush_depth_never_changes_decisions` test locks this.
+//! The *decisions* served are a pure function of the requests: arrival
+//! timing and worker count only move latency/throughput, never outputs.
+//! The `worker_count_never_changes_decisions` test locks this.
 //!
 //! Backpressure is explicit: [`MicroBatcher::submit`] returns `false`
 //! (and counts a drop) instead of blocking when the queue is full, so
@@ -36,11 +28,9 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-/// Micro-batching knobs.
+/// Queue and worker-pool knobs.
 #[derive(Clone, Copy, Debug)]
 pub struct BatcherConfig {
-    /// The most requests one flush takes from the queue.
-    pub max_batch: usize,
     /// Queue bound; submits beyond it are dropped (shed, not blocked).
     pub queue_capacity: usize,
     /// Worker threads draining the queue.
@@ -49,11 +39,7 @@ pub struct BatcherConfig {
 
 impl Default for BatcherConfig {
     fn default() -> Self {
-        Self {
-            max_batch: 8,
-            queue_capacity: 1024,
-            workers: 1,
-        }
+        Self { queue_capacity: 1024, workers: 1 }
     }
 }
 
@@ -68,7 +54,8 @@ pub struct Reply {
     pub submitted: Instant,
     /// When the decision was made.
     pub completed: Instant,
-    /// Size of the flush this request rode in (observability).
+    /// 1 for a request a worker decided; 0 for a synthetic reply (shape
+    /// error, shed request) that no worker saw.
     pub batch_size: usize,
 }
 
@@ -87,7 +74,7 @@ struct Inner {
     dropped: AtomicU64,
 }
 
-/// The micro-batching front end around a [`DecisionEngine`].
+/// The queueing front end around a [`DecisionEngine`].
 pub struct MicroBatcher {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
@@ -96,7 +83,6 @@ pub struct MicroBatcher {
 impl MicroBatcher {
     /// Spawn the worker pool.
     pub fn start(engine: DecisionEngine, cfg: BatcherConfig) -> Self {
-        assert!(cfg.max_batch >= 1, "max_batch must be >= 1");
         assert!(cfg.workers >= 1, "workers must be >= 1");
         let inner = Arc::new(Inner {
             engine,
@@ -156,33 +142,26 @@ impl MicroBatcher {
 fn worker_loop(inner: &Inner) {
     let mut queue = inner.queue.lock().unwrap();
     loop {
-        // Wait for work (or shutdown with an empty queue).
-        while queue.is_empty() {
+        // Work-conserving: decide the oldest request the moment one is
+        // queued; sleep only on an empty queue, exit on shutdown.
+        let Some(pending) = queue.pop_front() else {
             if inner.shutdown.load(Ordering::SeqCst) {
                 return;
             }
             queue = inner.notify.wait(queue).unwrap();
-        }
-        // Work-conserving: take what is queued now, never wait for more.
-        let take = queue.len().min(inner.cfg.max_batch);
-        let batch: Vec<Pending> = queue.drain(..take).collect();
+            continue;
+        };
         drop(queue);
 
-        let actions = match &batch[..] {
-            [only] => vec![inner.engine.decide_one(&only.req)],
-            many => inner.engine.decide_batch(&many.iter().map(|p| &p.req).collect::<Vec<_>>()),
-        };
-        let completed = Instant::now();
-        for (pending, action) in batch.into_iter().zip(actions) {
-            // A closed receiver just means the client went away.
-            let _ = pending.tx.send(Reply {
-                id: pending.req.id,
-                action,
-                submitted: pending.submitted,
-                completed,
-                batch_size: take,
-            });
-        }
+        let action = inner.engine.decide_one(&pending.req);
+        // A closed receiver just means the client went away.
+        let _ = pending.tx.send(Reply {
+            id: pending.req.id,
+            action,
+            submitted: pending.submitted,
+            completed: Instant::now(),
+            batch_size: 1,
+        });
         queue = inner.queue.lock().unwrap();
     }
 }
@@ -216,18 +195,18 @@ mod tests {
     }
 
     #[test]
-    fn flush_depth_never_changes_decisions() {
+    fn worker_count_never_changes_decisions() {
         let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
         let reqs = synth_requests(engine.config(), 24, 99);
         let serial: BTreeMap<u64, Option<usize>> =
             reqs.iter().map(|r| (r.id, engine.decide_one(r))).collect();
-        for max_batch in [1usize, 4, 8] {
+        for workers in [1usize, 2, 4] {
             let got = collect_decisions(
                 &engine,
                 &reqs,
-                BatcherConfig { max_batch, ..Default::default() },
+                BatcherConfig { workers, ..Default::default() },
             );
-            assert_eq!(got, serial, "flush depth {max_batch} changed a decision");
+            assert_eq!(got, serial, "{workers} workers changed a decision");
         }
     }
 
@@ -235,49 +214,23 @@ mod tests {
     fn a_lone_request_is_answered_at_once() {
         let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
         let reqs = synth_requests(engine.config(), 21, 5);
-        // Depth 64 can never fill from one request at a time: an idle
-        // worker must not wait for it to.
-        let batcher = MicroBatcher::start(engine, BatcherConfig { max_batch: 64, ..Default::default() });
+        let batcher = MicroBatcher::start(engine, BatcherConfig::default());
         let (tx, rx) = mpsc::channel();
         let mut waited: Vec<Duration> = reqs
             .iter()
             .map(|req| {
                 assert!(batcher.submit(req.clone(), tx.clone()));
-                let reply = rx.recv_timeout(Duration::from_secs(5)).expect("no batch to wait for");
+                let reply = rx.recv_timeout(Duration::from_secs(5)).expect("reply");
                 assert_eq!((reply.id, reply.batch_size), (req.id, 1));
                 reply.completed.duration_since(reply.submitted)
             })
             .collect();
         assert_eq!(batcher.dropped(), 0);
         batcher.shutdown();
-        // One wake-up and one tiny decision: tens of microseconds. Any
-        // flush timer worth having would be longer than this bound.
+        // One wake-up and one tiny decision: tens of microseconds.
         waited.sort_unstable();
         let median = waited[waited.len() / 2];
         assert!(median < Duration::from_millis(1), "median queue wait + decision {median:?}");
-    }
-
-    #[test]
-    fn requests_queued_behind_a_busy_worker_flush_together() {
-        let engine = build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..Default::default() });
-        let reqs = synth_requests(engine.config(), 11, 5);
-        let batcher = MicroBatcher::start(engine, BatcherConfig { max_batch: 8, ..Default::default() });
-        let (tx, rx) = mpsc::channel();
-        // Holding the queue lock keeps the single worker from taking
-        // anything, exactly as a decision in progress would, so the 11
-        // arrivals below are all queued when it next looks.
-        let mut queue = batcher.inner.queue.lock().unwrap();
-        for req in &reqs {
-            queue.push_back(Pending { req: req.clone(), submitted: Instant::now(), tx: tx.clone() });
-        }
-        drop(queue);
-        batcher.inner.notify.notify_one();
-        let sizes: Vec<usize> = reqs
-            .iter()
-            .map(|_| rx.recv_timeout(Duration::from_secs(5)).expect("reply").batch_size)
-            .collect();
-        assert_eq!(sizes, [[8; 8].as_slice(), &[3; 3]].concat(), "one full flush, then the rest");
-        batcher.shutdown();
     }
 
     #[test]

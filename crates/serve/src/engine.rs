@@ -2,27 +2,17 @@
 //!
 //! [`DecisionEngine`] owns a [`DfpNetwork`] (obtained from a trained
 //! [`mrsch::Mrsch`] agent via its [`mrsch_dfp::PolicySnapshot`], i.e.
-//! the same frozen-policy artifact the rollout workers use) and exposes
-//! two entry points:
-//!
-//! * [`DecisionEngine::decide_one`] — one request, one fused-gemv
-//!   forward pass (`m == 1` routes through the row-blocked gemv
-//!   kernel);
-//! * [`DecisionEngine::decide_batch`] — `B` coalesced requests, one
-//!   packed-GEMM forward pass over a `B`-row input.
-//!
-//! The two are **bit-identical** per request: every output element of a
-//! GEMM is a `mul_add` chain over its own row/column only, so stacking
-//! rows can never change any row's result. `decide_batch` therefore
-//! returns exactly what `B` separate `decide_one` calls would — how
-//! deep the micro-batcher's flushes happen to be can never change a
-//! decision (locked by tests here and in `batcher`).
+//! the same frozen-policy artifact the rollout workers use) and decides
+//! one request at a time: [`DecisionEngine::decide_one`] is one
+//! fused-gemv forward pass (`m == 1` routes through the row-blocked
+//! gemv kernel) and the greedy rule the agent acts by. One decision
+//! streams the weights once, and a packed batch of `B` measured no
+//! cheaper per request than `B` singles, so there is no batched path.
 
 use crate::protocol::Request;
 use mrsch::prelude::{JobSource, Scenario, SimParams, SystemConfig, ThetaConfig, WorkloadSpec};
 use mrsch_dfp::{greedy_from_scores, DfpConfig, DfpNetwork, PolicySnapshot, StateModuleKind};
 use mrsch_eval::{default_training_curriculum, trained_mrsch, BuildContext};
-use mrsch_linalg::Matrix;
 
 /// A frozen decision-serving engine.
 #[derive(Clone, Debug)]
@@ -69,30 +59,11 @@ impl DecisionEngine {
         greedy_from_scores(&scores, &req.valid)
     }
 
-    /// Decide a coalesced micro-batch with a single packed-GEMM forward
-    /// pass. Bit-identical, element for element, to calling
-    /// [`Self::decide_one`] on each request.
+    /// [`Self::decide_one`] over each request in turn. Kept only because
+    /// the end-to-end benchmark harness still calls it; nothing in the
+    /// service does.
     pub fn decide_batch(&self, reqs: &[&Request]) -> Vec<Option<usize>> {
-        if reqs.is_empty() {
-            return Vec::new();
-        }
-        let cfg = self.config();
-        let stack = |dim: usize, get: fn(&Request) -> &[f32]| {
-            let mut m = Matrix::zeros(reqs.len(), dim);
-            for (r, req) in reqs.iter().enumerate() {
-                m.row_mut(r).copy_from_slice(get(req));
-            }
-            m
-        };
-        let states = stack(cfg.state_dim, |r| &r.state);
-        let meas = stack(cfg.measurement_dim, |r| &r.meas);
-        let goals = stack(cfg.measurement_dim, |r| &r.goal);
-        let scores = self.net.action_scores_batched(&states, &meas, &goals);
-        scores
-            .iter()
-            .zip(reqs)
-            .map(|(row, req)| greedy_from_scores(row, &req.valid))
-            .collect()
+        reqs.iter().map(|r| self.decide_one(r)).collect()
     }
 }
 
@@ -182,6 +153,8 @@ mod tests {
         }
     }
 
+    /// The harness's `decide_batch` entry point answers exactly what
+    /// `decide_one` does, request by request.
     #[test]
     fn batch_decisions_bit_identical_to_singles() {
         let engine = test_engine();

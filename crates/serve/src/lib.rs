@@ -9,14 +9,10 @@
 //! * [`protocol`] — a line-delimited request/response format
 //!   (`id;state;meas;goal;valid` → `id;action`), transport-agnostic;
 //! * [`engine`] — the [`engine::DecisionEngine`]: a frozen DFP network
-//!   answering single requests (fused-gemv hot path) or whole
-//!   micro-batches (one packed GEMM), **bit-identically** — coalescing
-//!   can never change a decision;
-//! * [`batcher`] — a bounded, work-conserving micro-batching queue: a
-//!   free worker takes whatever is queued (up to `max_batch`) at once,
-//!   so batches form only out of requests that arrived while every
-//!   worker was busy, and an idle service answers in the time one
-//!   decision takes — there is no flush deadline to wait out;
+//!   answering one request per fused-gemv forward pass;
+//! * [`batcher`] — a bounded, work-conserving request queue: a free
+//!   worker decides the oldest queued request at once, so an idle
+//!   service answers in the time one decision takes;
 //! * [`histogram`] — an HDR-style log-bucketed latency histogram
 //!   (p50/p95/p99 at ≤ 1/16 relative error, fixed memory);
 //! * [`loadgen`] — a seeded open-arrival load generator (Poisson
@@ -31,8 +27,8 @@
 //!
 //! Determinism: the decision path inherits the GEMM/gemv bit-exactness
 //! contract, so the served action stream is a pure function of
-//! `(weights, request)` — independent of batching depth, arrival timing,
-//! worker count, and transport.
+//! `(weights, request)` — independent of arrival timing, worker count,
+//! and transport.
 
 pub mod batcher;
 pub mod engine;

@@ -3,9 +3,8 @@
 //! All transports share one pump: read protocol lines, shape-check,
 //! submit to the [`MicroBatcher`], and stream responses back as replies
 //! arrive (a dedicated writer thread per stream, so slow clients never
-//! stall the batch queue). The TCP listener multiplexes any number of
-//! connections onto **one** shared batcher — concurrent clients are
-//! exactly what gives the micro-batcher batches to coalesce.
+//! stall the request queue). The TCP listener multiplexes any number of
+//! connections onto **one** shared queue and worker pool.
 //!
 //! Replies leave whole: the writer blocks for one reply, appends every
 //! other reply already waiting, and hands the burst to the transport
@@ -227,8 +226,6 @@ pub struct LoadReport {
     pub max_ns: u64,
     /// Achieved throughput over the whole run.
     pub qps: f64,
-    /// Mean flush depth — how much coalescing the arrival rate induced.
-    pub mean_batch: f64,
 }
 
 /// Push a seeded open-arrival schedule through a micro-batcher and
@@ -245,12 +242,10 @@ pub fn run_loadtest(
     let (tx, rx) = mpsc::channel::<Reply>();
     let collector = std::thread::spawn(move || {
         let mut hist = LatencyHistogram::new();
-        let mut batch_sum = 0u64;
         for reply in rx {
             hist.record(reply.completed.duration_since(reply.submitted).as_nanos() as u64);
-            batch_sum += reply.batch_size as u64;
         }
-        (hist, batch_sum)
+        hist
     });
 
     let start = Instant::now();
@@ -266,7 +261,7 @@ pub fn run_loadtest(
     let dropped = batcher.dropped();
     batcher.shutdown();
     let wall = start.elapsed();
-    let (hist, batch_sum) = collector.join().expect("reply collector");
+    let hist = collector.join().expect("reply collector");
 
     let total = hist.count();
     LoadReport {
@@ -278,7 +273,6 @@ pub fn run_loadtest(
         mean_ns: hist.mean(),
         max_ns: hist.max(),
         qps: total as f64 / wall.as_secs_f64().max(1e-9),
-        mean_batch: if total == 0 { 0.0 } else { batch_sum as f64 / total as f64 },
     }
 }
 
@@ -486,6 +480,5 @@ mod tests {
         assert!(report.p50_ns > 0 && report.p99_ns >= report.p50_ns);
         assert!(report.max_ns >= report.p99_ns);
         assert!(report.qps > 0.0);
-        assert!(report.mean_batch >= 1.0);
     }
 }

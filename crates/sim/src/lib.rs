@@ -70,10 +70,7 @@ pub use job::{Job, JobId, JobOutcome, JobRecord, JobSlab};
 pub use metrics::{EventCounts, SimReport};
 pub use policy::{Policy, SchedulerView};
 pub use resources::{ResourceSpec, SystemConfig};
-pub use shard::{
-    partition_round_robin, run_shard, shard_snapshot_name, write_shard_snapshot, ShardSpec,
-    ShardTotals, ShardedSim, SnapshotConfig,
-};
+pub use shard::{run_shard, shard_snapshot_name, write_shard_snapshot, ShardSpec, SnapshotConfig};
 pub use simulator::{SimParams, Simulator};
 pub use striped::striped_map;
 pub use timeline::Timeline;

@@ -117,11 +117,12 @@ impl std::error::Error for SimError {}
 /// trace and returns the [`SimReport`]. Fields are crate-visible so the
 /// per-kind handlers in [`crate::handlers`] can mutate them directly.
 ///
-/// The engine is generic over its [`EventQueue`]; the default
-/// [`IndexedEventQueue`] is what every production caller gets, while the
-/// equivalence test suites instantiate [`Simulator::with_queue`] with the
-/// reference [`crate::BinaryHeapEventQueue`] to prove the two produce
-/// bit-identical [`SimReport`]s.
+/// The engine is generic over its [`EventQueue`] so that tests and
+/// instrumentation can swap it; every run outside them uses the default
+/// [`IndexedEventQueue`]. The reference [`crate::BinaryHeapEventQueue`]
+/// is there only as the oracle the equivalence suites run through
+/// [`Simulator::with_queue`] to show the two produce bit-identical
+/// [`SimReport`]s.
 #[derive(Debug)]
 pub struct Simulator<Q: EventQueue = IndexedEventQueue> {
     pub(crate) config: SystemConfig,
@@ -290,18 +291,6 @@ impl<Q: EventQueue> Simulator<Q> {
         self.succs = succs;
         self.deps = deps;
         Ok(())
-    }
-
-    /// Number of arrived jobs currently held back by unfinished
-    /// predecessors (0 in a dependency-free trace).
-    pub fn held_jobs(&self) -> usize {
-        (0..self.jobs.len())
-            .filter(|&j| {
-                self.arrived[j]
-                    && self.pending_preds[j] > 0
-                    && self.states[j] == JobState::Queued
-            })
-            .count()
     }
 
     /// A job `p` reached a terminal state: decrement every successor's
@@ -525,8 +514,8 @@ impl<Q: EventQueue> Simulator<Q> {
     /// Between `step` calls the simulator sits at an *event boundary* —
     /// the states [`Simulator::snapshot`] may checkpoint and
     /// [`Simulator::restore`] continues from bit-identically. Periodic
-    /// snapshotting (`ShardedSim`) and the crash drills drive this
-    /// directly instead of `run`.
+    /// snapshotting ([`crate::run_shard`]) and the crash drills drive
+    /// this directly instead of `run`.
     pub fn step(&mut self, policy: &mut dyn Policy) -> bool {
         self.step_with(policy, Self::backfill_pass)
     }
@@ -802,12 +791,6 @@ impl<Q: EventQueue> Simulator<Q> {
     /// are indexed in `cap_returns` and consumed in fire order.
     fn earliest_capacity_return(&self) -> Option<SimTime> {
         self.cap_returns.get(self.cap_cursor).copied()
-    }
-
-    /// The reservation plan the current instance would compute for a job
-    /// (diagnostics; `None` while capacity is drained below its demand).
-    pub fn reservation_for(&self, id: JobId) -> Option<ReservationPlan> {
-        compute_reservation(&self.pools, self.slab.demands(id), self.now)
     }
 
     fn view(&self) -> SchedulerView<'_> {

@@ -14,7 +14,7 @@
 //! event boundary** (between [`Simulator::step`] calls) and restored
 //! with [`Simulator::restore`] continues **bit-identically** — the
 //! final [`crate::SimReport`] equals the uninterrupted run's, for both
-//! queue implementations and any `ShardedSim` worker count.
+//! queue implementations.
 //!
 //! Pending events are the subtle part. Handles are implementation-
 //! specific (a heap sequence number vs. a packed slot+generation), so

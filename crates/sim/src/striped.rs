@@ -1,9 +1,9 @@
 //! The workspace's one worker pool: stripe `n` independent items over
 //! scoped threads and hand the results back in index order.
 //!
-//! `ShardedSim` (shards), `mrsch-eval`'s `EvalPlan` (grid cells) and
-//! `mrsch`'s training engine (rollout episodes) all fan out the same
-//! way: worker `w` of `k` computes items `w, w + k, w + 2k, ...` with
+//! `mrsch-eval`'s `EvalPlan` (grid cells), `mrsch`'s training engine
+//! (rollout episodes) and `mrsch-experiments`' `multi_seed` (seeds) all
+//! fan out the same way: worker `w` of `k` computes items `w, w + k, w + 2k, ...` with
 //! its own reusable state (a simulator, a policy cache), and the merged
 //! vector is in item order **regardless of worker count or completion
 //! timing**. As long as an item's result does not depend on what its

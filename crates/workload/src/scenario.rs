@@ -13,9 +13,9 @@
 //! materializes it (the serial trainer, a rollout worker thread, or an
 //! evaluation harness).
 //!
-//! A [`Curriculum`] is an ordered list of [`CurriculumPhase`]s (scenario
-//! + episode count + optional goal-vector override) with progress
-//! tracking — the structure the paper's clean-first training extends
+//! A [`Curriculum`] is an ordered list of [`CurriculumPhase`]s (a
+//! scenario, an episode count and an optional goal-vector override) with
+//! progress tracking — the structure the paper's clean-first training extends
 //! into disruption hardening: train on clean traffic, then on
 //! cancel/overrun-heavy traffic, then on drain-heavy traffic
 //! ([`Curriculum::disruption_hardening`]).

@@ -35,7 +35,8 @@ pub enum SwfError {
         /// Fields found.
         fields: usize,
     },
-    /// A field failed to parse as an integer.
+    /// A field is not a number, or not finite, or of magnitude above
+    /// 2^53.
     BadField {
         /// 1-based line number.
         line: usize,
@@ -51,13 +52,17 @@ impl std::fmt::Display for SwfError {
                 write!(f, "SWF line {line}: only {fields} fields (need 18)")
             }
             SwfError::BadField { line, field } => {
-                write!(f, "SWF line {line}: field {field} is not an integer")
+                write!(f, "SWF line {line}: field {field} is not a finite number within ±2^53")
             }
         }
     }
 }
 
 impl std::error::Error for SwfError {}
+
+/// The largest field magnitude accepted: 2^53, past which an `f64`
+/// (the form SWF numbers are read in) no longer holds every integer.
+const MAX_FIELD: i64 = 1 << 53;
 
 /// Parse SWF text into trace jobs, sorted by submit time and rebased so
 /// the first job submits at 0. Comment lines (`;`) and blank lines are
@@ -74,11 +79,13 @@ pub fn parse_swf(text: &str) -> Result<Vec<TraceJob>, SwfError> {
         if fields.len() < 18 {
             return Err(SwfError::ShortLine { line: line_no, fields: fields.len() });
         }
+        // `nan` and `inf` parse as f64 and would saturate `as i64`
+        // silently (to 0 and i64::MAX), so they are refused here.
         let get = |idx: usize| -> Result<i64, SwfError> {
-            fields[idx]
-                .parse::<f64>()
-                .map(|v| v as i64)
-                .map_err(|_| SwfError::BadField { line: line_no, field: idx })
+            match fields[idx].parse::<f64>() {
+                Ok(v) if v.abs() <= MAX_FIELD as f64 => Ok(v as i64),
+                _ => Err(SwfError::BadField { line: line_no, field: idx }),
+            }
         };
         let submit = get(1)?;
         let runtime = get(3)?;
@@ -201,6 +208,15 @@ mod tests {
         let line = "1 x -1 10 4 -1 -1 4 20 -1 1 1 1 -1 1 -1 -1 -1\n";
         let err = parse_swf(line).unwrap_err();
         assert_eq!(err, SwfError::BadField { line: 1, field: 1 });
+        // Values an f64 parse accepts but no job field can hold: `nan`
+        // used to become submit 0 / status Failed, `inf` i64::MAX.
+        for (field, bad) in [(1, "nan"), (10, "NaN"), (1, "inf"), (3, "-inf"), (3, "1e300")] {
+            let mut fields: Vec<&str> = line.split_whitespace().collect();
+            fields[1] = "0";
+            fields[field] = bad;
+            let err = parse_swf(&fields.join(" ")).unwrap_err();
+            assert_eq!(err, SwfError::BadField { line: 1, field }, "{bad}");
+        }
     }
 
     #[test]

@@ -1,13 +1,82 @@
 //! Property-based tests of the workload pipeline: every generator, at
 //! every scale and seed, produces jobs that are valid for the target
-//! system and preserve the suite's declared structure.
+//! system and preserve the suite's declared structure; and the SWF
+//! reader, fed hostile text, never panics and admits only jobs the
+//! simulator can take.
 
 use mrsch_workload::jobset::{curriculum, sampled_jobset, CurriculumOrder};
 use mrsch_workload::split::chronological_split;
 use mrsch_workload::suite::WorkloadSpec;
+use mrsch_workload::swf::{parse_swf, to_swf};
 use mrsch_workload::theta::ThetaConfig;
 use mrsim::resources::SystemConfig;
 use proptest::prelude::*;
+
+/// Tokens an `f64` parse accepts but no SWF field may carry, tokens
+/// that are not numbers, and 2^53 itself (the largest accepted value).
+const HOSTILE: [&str; 9] = [
+    "nan",
+    "-NaN",
+    "inf",
+    "-infinity",
+    "1e300",
+    "-1e300",
+    "9007199254740994",
+    "",
+    "9007199254740992",
+];
+
+/// One 18-field SWF line with the five fields the reader uses set to
+/// `(submit, runtime, processors, requested time, status)`.
+fn swf_line(i: usize, fields: (i64, i64, i64, i64, i64)) -> String {
+    let (submit, runtime, procs, req_time, status) = fields;
+    format!(
+        "{i} {submit} -1 {runtime} {procs} -1 -1 {procs} {req_time} -1 {status} \
+         -1 -1 -1 -1 -1 -1 -1"
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn hostile_swf_never_panics_and_admits_only_sane_jobs(
+        bytes in prop::collection::vec(0u8..=255, 0..256),
+        rows in prop::collection::vec(
+            (-1i64..1_000_000, -1i64..100_000, -1i64..5_000, -1i64..200_000, -1i64..7),
+            1..8,
+        ),
+        (kind, row, field, cut, token) in (0usize..3, 0usize..8, 0usize..18, 0usize..1000, 0usize..9),
+    ) {
+        let mut lines: Vec<String> =
+            rows.iter().enumerate().map(|(i, &r)| swf_line(i + 1, r)).collect();
+        let row = row % lines.len();
+        match kind {
+            // Cut the line anywhere (every byte is ASCII).
+            0 => {
+                let keep = lines[row].len() * cut / 1000;
+                lines[row].truncate(keep);
+            }
+            // Replace one token by a hostile one.
+            1 => {
+                let mut tokens: Vec<&str> = lines[row].split(' ').collect();
+                tokens[field] = HOSTILE[token];
+                lines[row] = tokens.join(" ");
+            }
+            _ => {} // the valid trace itself
+        }
+        let max = 1u64 << 53;
+        for text in [String::from_utf8_lossy(&bytes).into_owned(), lines.join("\n")] {
+            let Ok(jobs) = parse_swf(&text) else { continue };
+            prop_assert!(jobs.windows(2).all(|w| w[0].submit <= w[1].submit), "unsorted: {text}");
+            for j in &jobs {
+                prop_assert!(j.runtime >= 1 && j.estimate >= j.runtime && j.nodes >= 1, "{j:?}");
+                prop_assert!(j.submit <= max && j.estimate <= max && j.nodes <= max, "{j:?}");
+            }
+            prop_assert_eq!(&parse_swf(&to_swf(&jobs)).expect("exported SWF parses"), &jobs);
+        }
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]

@@ -1,25 +1,25 @@
-//! Large-trace determinism: a seeded disruption trace replays
+//! Large-trace determinism: seeded disruption traces replay
 //! bit-identically across every engine configuration.
 //!
-//! The PR that introduced the indexed event queue, the job slab, and the
-//! sharded runner is locked down here: for a stress trace with cancels,
-//! walltime overruns, a node-drain episode, and a tick chain, the full
-//! `SimReport` (every record, counter, and metric) must be **equal** —
-//! not approximately, `==` on the whole struct — across
+//! The indexed event queue and the job slab are locked down here: for
+//! stress traces with cancels, walltime overruns, a node-drain episode,
+//! and a tick chain, the full `SimReport` (every record, counter, and
+//! metric) must be **equal** — not approximately, `==` on the whole
+//! struct — across
 //!
-//! * the seed's binary-heap event queue vs the indexed calendar queue,
-//! * a serial run vs the sharded runner,
-//! * 1, 2, and 4 worker threads.
+//! * the binary-heap event queue vs the indexed calendar queue,
+//! * a hand-driven `Simulator` vs `run_shard` (the CLI's run path),
 //!
-//! Tier-1 runs a 5 000-job trace; the 100 000-job version of the same
+//! and every job of four independently seeded traces must be accounted
+//! for. Tier-1 runs 5 000 jobs; the 100 000-job version of the same
 //! checks runs under `--ignored` (CI executes it in the bench job).
 
 use mrsch_workload::disruption::{DisruptionConfig, DrainSpec};
 use mrsch_workload::StressConfig;
 use mrsim::policy::{HeadOfQueue, Policy};
 use mrsim::{
-    partition_round_robin, BinaryHeapEventQueue, ShardSpec, ShardTotals, ShardedSim, SimParams,
-    SimReport, Simulator, SystemConfig,
+    run_shard, BinaryHeapEventQueue, IndexedEventQueue, ShardSpec, SimParams, SimReport,
+    Simulator, SystemConfig,
 };
 
 const NODES: u64 = 256;
@@ -34,37 +34,26 @@ fn params() -> SimParams {
     SimParams { enforce_walltime: true, tick: Some(900), ..SimParams::new(10, true) }
 }
 
-/// Build `nshards` disrupted shard specs over an `n`-job stress trace.
-/// Disruptions are synthesized per shard (seeded by shard index) so each
-/// shard carries cancels, overruns, and a mid-trace drain episode.
-fn disrupted_shards(n: usize, nshards: usize) -> Vec<ShardSpec> {
-    let jobs = StressConfig::engine(n, vec![NODES, BB]).generate(SEED);
+/// A disrupted `n`-job stress trace: cancels, overruns, and a
+/// mid-trace drain episode. `stream` seeds both the trace and its
+/// disruptions, so different streams are independent traces.
+fn disrupted_trace(n: usize, stream: u64) -> ShardSpec {
+    let jobs = StressConfig::engine(n, vec![NODES, BB]).generate(SEED + stream);
     let span = jobs.last().expect("nonempty trace").submit;
-    partition_round_robin(&jobs, nshards)
-        .into_iter()
-        .enumerate()
-        .map(|(s, shard_jobs)| {
-            let disruptions = DisruptionConfig {
-                cancel_fraction: 0.08,
-                overrun_fraction: 0.08,
-                overrun_factor: 1.5,
-                drains: vec![DrainSpec {
-                    resource: 0,
-                    fraction: 0.25,
-                    at: span / 4,
-                    duration: span / 4,
-                }],
-            };
-            let trace = disruptions.synthesize(&shard_jobs, &system(), SEED + 101 * s as u64);
-            ShardSpec {
-                config: system(),
-                jobs: trace.jobs,
-                params: params(),
-                events: trace.events,
-                relative_cancels: Vec::new(),
-            }
-        })
-        .collect()
+    let disruptions = DisruptionConfig {
+        cancel_fraction: 0.08,
+        overrun_fraction: 0.08,
+        overrun_factor: 1.5,
+        drains: vec![DrainSpec { resource: 0, fraction: 0.25, at: span / 4, duration: span / 4 }],
+    };
+    let trace = disruptions.synthesize(&jobs, &system(), SEED + 101 * stream);
+    ShardSpec {
+        config: system(),
+        jobs: trace.jobs,
+        params: params(),
+        events: trace.events,
+        relative_cancels: Vec::new(),
+    }
 }
 
 fn fcfs() -> Box<dyn Policy + Send> {
@@ -73,13 +62,12 @@ fn fcfs() -> Box<dyn Policy + Send> {
 
 /// The core lockstep check at a given trace size.
 fn assert_engine_configurations_agree(n: usize) {
-    // Old vs new queue on a single (unsharded) simulator.
-    let single = disrupted_shards(n, 1).remove(0);
-    let run_single = |report: &mut dyn FnMut() -> SimReport| report();
+    // Old vs new queue on one hand-driven simulator over all `n` jobs.
+    let single = disrupted_trace(n, 0);
     let mut indexed_sim =
         Simulator::new(single.config.clone(), single.jobs.clone(), single.params).unwrap();
     indexed_sim.inject_all(&single.events).unwrap();
-    let indexed_report = run_single(&mut || indexed_sim.run(&mut HeadOfQueue));
+    let indexed_report = indexed_sim.run(&mut HeadOfQueue);
     let mut heap_sim = Simulator::<BinaryHeapEventQueue>::with_queue(
         single.config.clone(),
         single.jobs.clone(),
@@ -87,8 +75,13 @@ fn assert_engine_configurations_agree(n: usize) {
     )
     .unwrap();
     heap_sim.inject_all(&single.events).unwrap();
-    let heap_report = run_single(&mut || heap_sim.run(&mut HeadOfQueue));
+    let heap_report = heap_sim.run(&mut HeadOfQueue);
     assert_eq!(indexed_report, heap_report, "binary-heap vs indexed queue diverged");
+    assert_eq!(
+        run_shard::<IndexedEventQueue>(&single, 0, None, fcfs()).expect("run_shard runs"),
+        indexed_report,
+        "run_shard vs a hand-driven simulator diverged"
+    );
 
     // The disruptions actually fired: this test must not vacuously pass.
     assert!(indexed_report.jobs_completed > 0, "completions landed");
@@ -96,30 +89,22 @@ fn assert_engine_configurations_agree(n: usize) {
     assert!(indexed_report.jobs_killed > 0, "walltime kills landed");
     assert!(indexed_report.event_counts.count(mrsim::EventKind::Tick) > 0, "ticks fired");
 
-    // Sharded: worker count and queue implementation are both invisible.
-    let sharded1 = ShardedSim::new(disrupted_shards(n, 4)).workers(1).run_with(&|_| fcfs());
-    let sharded2 = ShardedSim::new(disrupted_shards(n, 4)).workers(2).run_with(&|_| fcfs());
-    let sharded4 = ShardedSim::new(disrupted_shards(n, 4)).workers(4).run_with(&|_| fcfs());
-    let sharded_heap = ShardedSim::new(disrupted_shards(n, 4))
-        .workers(4)
-        .run_with_queue::<BinaryHeapEventQueue, _>(&|_| fcfs());
-    let serial = sharded1.expect("serial fleet runs");
-    assert_eq!(serial, sharded2.expect("2-worker fleet runs"), "1 vs 2 workers diverged");
-    assert_eq!(serial, sharded4.expect("4-worker fleet runs"), "1 vs 4 workers diverged");
-    assert_eq!(
-        serial,
-        sharded_heap.expect("heap-queue fleet runs"),
-        "sharded heap vs indexed queue diverged"
-    );
-
-    // Every job in every shard is accounted for in the merged totals.
-    let totals = ShardTotals::merge(&serial);
-    assert_eq!(
-        totals.jobs_completed + totals.jobs_cancelled + totals.jobs_killed
-            + totals.jobs_unfinished,
-        n,
-        "merged totals must account for every job"
-    );
+    // Four independent traces of `n / 4` jobs: the queue implementation
+    // is invisible on each, and every job is accounted for.
+    let reports: Vec<SimReport> = (1..=4)
+        .map(|stream| {
+            let spec = disrupted_trace(n / 4, stream);
+            let indexed = run_shard::<IndexedEventQueue>(&spec, 0, None, fcfs()).unwrap();
+            let heap = run_shard::<BinaryHeapEventQueue>(&spec, 0, None, fcfs()).unwrap();
+            assert_eq!(indexed, heap, "trace {stream}: heap vs indexed queue diverged");
+            indexed
+        })
+        .collect();
+    let accounted: usize = reports
+        .iter()
+        .map(|r| r.jobs_completed + r.jobs_cancelled + r.jobs_killed + r.jobs_unfinished)
+        .sum();
+    assert_eq!(accounted, n, "every job of every trace must be accounted for");
 }
 
 #[test]
