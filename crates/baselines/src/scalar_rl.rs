@@ -290,6 +290,8 @@ pub struct ScalarRlPolicy<'a> {
     mode: RlMode,
     traj: Vec<TrajStep>,
     pending: Option<(Vec<f32>, usize, Vec<bool>)>,
+    /// The state buffer every decision encodes into.
+    state: Vec<f32>,
 }
 
 impl<'a> ScalarRlPolicy<'a> {
@@ -297,7 +299,7 @@ impl<'a> ScalarRlPolicy<'a> {
     pub fn new(agent: &'a mut ScalarRlAgent, encoder: StateEncoder, mode: RlMode) -> Self {
         assert_eq!(agent.cfg.state_dim, encoder.state_dim());
         assert_eq!(agent.cfg.num_actions, encoder.window());
-        Self { agent, encoder, mode, traj: Vec::new(), pending: None }
+        Self { agent, encoder, mode, traj: Vec::new(), pending: None, state: Vec::new() }
     }
 }
 
@@ -306,11 +308,11 @@ impl Policy for ScalarRlPolicy<'_> {
         if view.window.is_empty() {
             return None;
         }
-        let state = self.encoder.encode(view);
+        self.encoder.encode_into(view, &mut self.state);
         let valid = self.encoder.valid_actions(view);
-        let action = self.agent.act(&state, &valid, self.mode == RlMode::Train)?;
+        let action = self.agent.act(&self.state, &valid, self.mode == RlMode::Train)?;
         if self.mode == RlMode::Train {
-            self.pending = Some((state, action, valid));
+            self.pending = Some((self.state.clone(), action, valid));
         }
         Some(action)
     }
@@ -344,6 +346,8 @@ impl Policy for ScalarRlPolicy<'_> {
 pub struct TrainedScalarRlPolicy {
     agent: ScalarRlAgent,
     encoder: StateEncoder,
+    /// The state buffer every decision encodes into.
+    state: Vec<f32>,
 }
 
 impl TrainedScalarRlPolicy {
@@ -351,7 +355,7 @@ impl TrainedScalarRlPolicy {
     pub fn new(agent: ScalarRlAgent, encoder: StateEncoder) -> Self {
         assert_eq!(agent.cfg.state_dim, encoder.state_dim());
         assert_eq!(agent.cfg.num_actions, encoder.window());
-        Self { agent, encoder }
+        Self { agent, encoder, state: Vec::new() }
     }
 
     /// The wrapped agent.
@@ -370,9 +374,9 @@ impl Policy for TrainedScalarRlPolicy {
         if view.window.is_empty() {
             return None;
         }
-        let state = self.encoder.encode(view);
+        self.encoder.encode_into(view, &mut self.state);
         let valid = self.encoder.valid_actions(view);
-        self.agent.act_greedy(&state, &valid)
+        self.agent.act_greedy(&self.state, &valid)
     }
 
     fn name(&self) -> &'static str {

@@ -25,9 +25,6 @@ use mrsim::metrics::SimReport;
 use mrsim::policy::{Policy, SchedulerView, StepFeedback};
 use mrsim::SimTime;
 
-/// Bookkeeping for a decision awaiting its feedback (training mode).
-type PendingDecision = (Vec<f32>, Vec<f32>, Vec<f32>, usize);
-
 /// Operating mode of the policy.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Mode {
@@ -45,8 +42,10 @@ pub struct MrschPolicy<'a> {
     mode: Mode,
     /// Per-decision goal log: `(time, goal)`.
     goal_log: Vec<(SimTime, Vec<f32>)>,
-    /// Cached encoding of the decision we just made (training bookkeeping).
-    last: Option<PendingDecision>,
+    /// The state buffer every decision encodes into.
+    state: Vec<f32>,
+    /// A recorded training step is waiting for its outcome.
+    awaiting: bool,
     /// Gradient steps to run after each episode in training mode.
     batches_per_episode: usize,
     /// Losses observed from those post-episode gradient steps.
@@ -77,7 +76,8 @@ impl<'a> MrschPolicy<'a> {
             goal_mode,
             mode,
             goal_log: Vec::new(),
-            last: None,
+            state: Vec::new(),
+            awaiting: false,
             batches_per_episode: 32,
             losses: Vec::new(),
         }
@@ -106,22 +106,22 @@ impl Policy for MrschPolicy<'_> {
         if view.window.is_empty() {
             return None;
         }
-        let state = self.encoder.encode(view);
+        self.encoder.encode_into(view, &mut self.state);
         let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
         let goal = self.goal_mode.goal_for(view);
         let valid = self.encoder.valid_actions(view);
         self.goal_log.push((view.now, goal.clone()));
         let explore = self.mode == Mode::Train;
-        let action = self.agent.act(&state, &meas, &goal, &valid, explore)?;
+        let action = self.agent.act(&self.state, &meas, &goal, &valid, explore)?;
         if self.mode == Mode::Train {
-            self.agent.record_step(&state, &meas, &goal, action);
-            self.last = Some((state, meas, goal, action));
+            self.agent.record_step(&self.state, &meas, &goal, action);
+            self.awaiting = true;
         }
         Some(action)
     }
 
     fn feedback(&mut self, fb: &StepFeedback) {
-        if self.mode == Mode::Train && self.last.take().is_some() {
+        if std::mem::take(&mut self.awaiting) {
             let meas_after: Vec<f32> = fb.measurement.iter().map(|&x| x as f32).collect();
             self.agent.record_outcome(&meas_after);
         }
@@ -155,11 +155,13 @@ pub struct TrainedMrschPolicy {
     encoder: StateEncoder,
     goal_mode: GoalMode,
     goal_log: Vec<(SimTime, Vec<f32>)>,
+    /// The state buffer every decision encodes into.
+    state: Vec<f32>,
 }
 
 impl TrainedMrschPolicy {
     pub(crate) fn new(agent: DfpAgent, encoder: StateEncoder, goal_mode: GoalMode) -> Self {
-        Self { agent, encoder, goal_mode, goal_log: Vec::new() }
+        Self { agent, encoder, goal_mode, goal_log: Vec::new(), state: Vec::new() }
     }
 
     /// The wrapped agent (checkpointing, inspection).
@@ -178,12 +180,12 @@ impl Policy for TrainedMrschPolicy {
         if view.window.is_empty() {
             return None;
         }
-        let state = self.encoder.encode(view);
+        self.encoder.encode_into(view, &mut self.state);
         let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
         let goal = self.goal_mode.goal_for(view);
         let valid = self.encoder.valid_actions(view);
         self.goal_log.push((view.now, goal.clone()));
-        self.agent.act(&state, &meas, &goal, &valid, false)
+        self.agent.act(&self.state, &meas, &goal, &valid, false)
     }
 
     fn reset(&mut self) {

@@ -287,6 +287,7 @@ pub(crate) fn rollout_episode(
         goal_mode: task.goal.as_ref().unwrap_or(goal_mode),
         recorder: EpisodeRecorder::new(),
         rng: StdRng::seed_from_u64(task.seed),
+        state: Vec::new(),
         awaiting: false,
     };
     let report = s.run(&mut policy);
@@ -307,6 +308,8 @@ struct RolloutPolicy<'a> {
     goal_mode: &'a GoalMode,
     recorder: EpisodeRecorder,
     rng: StdRng,
+    /// The state buffer every decision encodes into.
+    state: Vec<f32>,
     awaiting: bool,
 }
 
@@ -315,20 +318,20 @@ impl Policy for RolloutPolicy<'_> {
         if view.window.is_empty() {
             return None;
         }
-        let state = self.encoder.encode(view);
+        self.encoder.encode_into(view, &mut self.state);
         let meas: Vec<f32> = view.measurement().iter().map(|&x| x as f32).collect();
         let goal = self.goal_mode.goal_for(view);
         let valid = self.encoder.valid_actions(view);
         let action = self.snap.act_with_epsilon(
             self.epsilon,
-            &state,
+            &self.state,
             &meas,
             &goal,
             &valid,
             true,
             &mut self.rng,
         )?;
-        self.recorder.record_step(&state, &meas, &goal, action);
+        self.recorder.record_step(&self.state, &meas, &goal, action);
         self.awaiting = true;
         Some(action)
     }

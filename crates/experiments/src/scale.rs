@@ -1,10 +1,11 @@
 //! Experiment sizing.
 //!
 //! The paper runs on the full 4392-node Theta with a five-month trace —
-//! far beyond a CI budget. DESIGN.md §2 commits to proportional scaling:
-//! the *relative* comparisons are the reproduction target. [`ExpScale`]
-//! centralizes the sizes so every figure uses consistent systems and
-//! traces.
+//! far beyond a CI budget. This reproduction commits to proportional
+//! scaling instead: machine and traces shrink together, and the
+//! *relative* comparisons between policies are the reproduction target,
+//! not the paper's absolute numbers. [`ExpScale`] centralizes the sizes
+//! so every figure uses consistent systems and traces.
 
 use mrsch_workload::theta::{ThetaConfig, TraceJob};
 use mrsim::resources::SystemConfig;

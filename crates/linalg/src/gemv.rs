@@ -7,9 +7,13 @@
 //! memory-bound). These kernels skip packing entirely:
 //!
 //! * [`gemv_into`]    — `y = x · B`   (B stored `k x n`): axpy-style
-//!   row streaming — each row of B is read once at unit stride (the
-//!   whole operand streams through the prefetcher exactly once) and
+//!   row streaming — each row of B is read once at unit stride and
 //!   accumulates into the L1-resident output row, broadcasting `x[k]`.
+//!   Rows whose `x[k]` is `±0.0` are never read (an MRSch state vector
+//!   is at least half exact zeros: every resource unit is a pair with
+//!   one zero in it), and the remaining rows are applied four at a time,
+//!   so the accumulator row is loaded and stored once per four weight
+//!   rows instead of once per row.
 //! * [`gemv_at_into`] — `y = x · Bᵀ`  (B stored `n x k`): per-output
 //!   dot-product chains, four rows in flight for FMA-latency overlap.
 //!
@@ -28,6 +32,19 @@
 //! fused bias is the same single `+` the unfused
 //! `Matrix::add_row_broadcast` performs, and the fused ReLU is exactly
 //! `x.max(0.0)` — one rounding either way.
+//!
+//! Grouping four rows changes no rounding: `gemv_into` computes
+//! `acc = x3·b3 + (x2·b2 + (x1·b1 + (x0·b0 + acc)))` as four nested
+//! `mul_add`s, which is the same increasing-`k` chain one row at a time.
+//!
+//! Skipping a zero row is exact up to the sign of a zero. For finite
+//! `b`, `mul_add(±0, b, acc)` is `acc + (±0)`, which equals `acc` —
+//! bit for bit — unless `acc` is `−0.0` (then it may become `+0.0`). A
+//! chain that starts at `+0.0` reaches `−0.0` only when a product
+//! underflows, so the skipped and unskipped chains always compare `==`,
+//! and they are bitwise equal unless that output is zero. A non-finite
+//! weight in a skipped row would have made the reference output NaN;
+//! layer weights are finite.
 
 use crate::matrix::Matrix;
 
@@ -105,20 +122,41 @@ unsafe fn gemv_fma(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>)
 
 /// The shared kernel body. Axpy-style row streaming: the output row is
 /// the accumulator (L1-resident for any realistic layer width) and each
-/// row of B is read exactly once at unit stride — the shape is
-/// memory-bound, so the whole win is letting the prefetcher see one
-/// sequential 4·k·n-byte stream instead of column-block strides. Each
-/// `y[j]` remains a single `mul_add` chain in increasing-`k` order
-/// (vectorization is across `j` only), so results stay bit-identical to
-/// the reference.
+/// row of B is read at most once at unit stride — the shape is
+/// memory-bound, so the win is reading fewer weight bytes. Rows with a
+/// zero `x[k]` are skipped; the others are gathered four at a time and
+/// applied in one pass over the accumulator. Each `y[j]` remains a
+/// single `mul_add` chain in increasing-`k` order (vectorization is
+/// across `j` only), so results stay equal to the reference (see the
+/// module doc for the sign of a zero output).
 #[inline(always)]
 fn gemv_body(y: &mut [f32], x: &[f32], b: &Matrix, epilogue: Epilogue<'_>) {
     let n = b.cols();
     let bs = b.as_slice();
+    let row = |kk: usize| &bs[kk * n..kk * n + n];
     y.fill(0.0);
+    let mut group = [0usize; 4];
+    let mut len = 0;
     for (kk, &xv) in x.iter().enumerate() {
-        let brow = &bs[kk * n..kk * n + n];
-        for (a, &bv) in y.iter_mut().zip(brow) {
+        if xv == 0.0 {
+            continue;
+        }
+        group[len] = kk;
+        len += 1;
+        if len == 4 {
+            len = 0;
+            let [k0, k1, k2, k3] = group;
+            let (x0, x1, x2, x3) = (x[k0], x[k1], x[k2], x[k3]);
+            for ((((a, &b0), &b1), &b2), &b3) in
+                y.iter_mut().zip(row(k0)).zip(row(k1)).zip(row(k2)).zip(row(k3))
+            {
+                *a = x3.mul_add(b3, x2.mul_add(b2, x1.mul_add(b1, x0.mul_add(b0, *a))));
+            }
+        }
+    }
+    for &kk in &group[..len] {
+        let xv = x[kk];
+        for (a, &bv) in y.iter_mut().zip(row(kk)) {
             *a = xv.mul_add(bv, *a);
         }
     }

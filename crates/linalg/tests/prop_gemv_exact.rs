@@ -8,6 +8,14 @@
 //! routing `matmul` through `gemv` when `m == 1` must never change a
 //! single bit, and fusing the dense-layer epilogue must match the
 //! unfused `add_row_broadcast` + `max(0.0)` sequence exactly.
+//!
+//! `gemv_into` skips rows whose input is `±0.0` and applies the rest four
+//! at a time, so the sparse-input cases feed it vectors that are 30–70 %
+//! exact zeros of both signs, laid out in runs that straddle the 4-row
+//! groups. A skipped row can only flip the sign of a zero output, and a
+//! chain from `+0.0` reaches `−0.0` only by underflow (pinned by
+//! `underflow_to_negative_zero_is_the_only_difference`), so with these
+//! magnitudes the outputs must match bit for bit.
 
 use mrsch_linalg::gemv::{
     gemv_at_into, gemv_at_portable_into, gemv_into, gemv_portable_into, Epilogue,
@@ -59,16 +67,52 @@ fn apply_reference_epilogue(y: &mut Matrix, bias: &Matrix, relu: bool) {
     }
 }
 
+/// A `1 x k` input that is `zero_pct` % exact zeros (each `+0.0` or
+/// `−0.0`), placed as runs of 1–7 at random starts so runs cross the
+/// 4-row group boundaries of `gemv_into`.
+fn sparse_x(k: usize, zero_pct: usize, seed: u64) -> Matrix {
+    let mut x = lcg_matrix(1, k, seed).as_slice().to_vec();
+    // Dense entries must be non-zero so the zero count is exact.
+    for v in x.iter_mut().filter(|v| **v == 0.0) {
+        *v = 0.5;
+    }
+    let mut state = seed ^ 0x5EED;
+    let mut next = |m: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) as usize % m.max(1)
+    };
+    let target = k * zero_pct / 100;
+    let mut zeros = 0;
+    while zeros < target {
+        let start = next(k);
+        let run = 1 + next(7);
+        for v in x.iter_mut().skip(start).take(run) {
+            if zeros < target && *v != 0.0 {
+                *v = if next(2) == 0 { 0.0 } else { -0.0 };
+                zeros += 1;
+            }
+        }
+    }
+    Matrix::from_vec(1, k, x)
+}
+
 /// One (k, n, seed) case: both kernels, both ISA paths, all epilogues,
 /// against the naive reference.
 fn check_gemv(k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
-    let x = lcg_matrix(1, k, seed);
+    check_gemv_x(&lcg_matrix(1, k, seed), n, seed)
+}
+
+/// [`check_gemv`] for a given input row `x`.
+fn check_gemv_x(x: &Matrix, n: usize, seed: u64) -> Result<(), TestCaseError> {
+    let k = x.cols();
     let b = lcg_matrix(k, n, seed ^ 0x9E37);
     let bt = lcg_matrix(n, k, seed ^ 0x51DE);
     let bias = lcg_matrix(1, n, seed ^ 0xB1A5);
 
     // y = x · B, no epilogue, vs reference; dispatched and portable.
-    let want = gemm::reference::matmul(&x, &b);
+    let want = gemm::reference::matmul(x, &b);
     let mut got = vec![0.0f32; n];
     gemv_into(&mut got, x.as_slice(), &b, Epilogue::None);
     assert_bits(&got, want.as_slice(), &format!("gemv {k}x{n}"))?;
@@ -76,7 +120,7 @@ fn check_gemv(k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
     assert_bits(&got, want.as_slice(), &format!("gemv portable {k}x{n}"))?;
 
     // y = x · Bᵀ likewise.
-    let want_at = gemm::reference::matmul_a_bt(&x, &bt);
+    let want_at = gemm::reference::matmul_a_bt(x, &bt);
     gemv_at_into(&mut got, x.as_slice(), &bt, Epilogue::None);
     assert_bits(&got, want_at.as_slice(), &format!("gemv_at {k}x{n}"))?;
     gemv_at_portable_into(&mut got, x.as_slice(), &bt, Epilogue::None);
@@ -113,9 +157,9 @@ fn check_gemv(k: usize, n: usize, seed: u64) -> Result<(), TestCaseError> {
     }
 
     // The matmul routing itself (m == 1 dispatches into gemv).
-    let routed = mrsch_linalg::matmul(&x, &b);
+    let routed = mrsch_linalg::matmul(x, &b);
     assert_bits(routed.as_slice(), want.as_slice(), &format!("matmul routing {k}x{n}"))?;
-    let routed_at = mrsch_linalg::matmul_a_bt(&x, &bt);
+    let routed_at = mrsch_linalg::matmul_a_bt(x, &bt);
     assert_bits(routed_at.as_slice(), want_at.as_slice(), &format!("a_bt routing {k}x{n}"))?;
     Ok(())
 }
@@ -146,6 +190,60 @@ proptest! {
         check_gemv(1, n, seed)?;  // K = 1
         check_gemv(k, 1, seed)?;  // N = 1
         check_gemv(1, 1, seed)?;  // scalar
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Sparse inputs at every small depth (`k` = 0..=9 covers an empty
+    /// input, a lone partial group and one full group plus each
+    /// remainder) and at the first-layer depth of the scaled MRSch
+    /// state (702).
+    #[test]
+    fn sparse_x_bit_identical(
+        k in 0usize..=9,
+        n in 1usize..40,
+        zero_pct in 30usize..=70,
+        seed in 0u64..1_000_000,
+    ) {
+        check_gemv_x(&sparse_x(k, zero_pct, seed), n, seed)?;
+        check_gemv_x(&sparse_x(702, zero_pct, seed), n, seed)?;
+    }
+}
+
+/// Every input zero: no row is read, and the output is the `+0.0` the
+/// reference chain ends at (`−0 · b + +0 = +0`).
+#[test]
+fn all_zero_x_gives_positive_zero() {
+    let x = Matrix::from_vec(1, 9, (0..9).map(|i| if i % 2 == 0 { 0.0 } else { -0.0 }).collect());
+    let b = lcg_matrix(9, 5, 3);
+    for f in [gemv_into, gemv_portable_into] {
+        let mut y = vec![1.0f32; 5];
+        f(&mut y, x.as_slice(), &b, Epilogue::None);
+        for &v in &y {
+            assert_eq!(v.to_bits(), 0.0f32.to_bits(), "got {v}");
+        }
+    }
+}
+
+/// The one case where skipping a zero row is visible: a product that
+/// underflows to `−0.0` leaves the accumulator at `−0.0`, and a later
+/// zero row turns the reference chain's `−0.0 + (+0.0)` into `+0.0`
+/// while the skipping kernel keeps `−0.0`. The two still compare `==`.
+#[test]
+fn underflow_to_negative_zero_is_the_only_difference() {
+    let tiny = f32::from_bits(1); // smallest positive subnormal
+    // Row 0: tiny · (−0.25) rounds to −0.0. Row 1: x = +0, b = +1.
+    let x = Matrix::from_vec(1, 2, vec![tiny, 0.0]);
+    let b = Matrix::from_vec(2, 1, vec![-0.25, 1.0]);
+    let want = gemm::reference::matmul(&x, &b);
+    assert_eq!(want.as_slice()[0].to_bits(), 0.0f32.to_bits());
+    for f in [gemv_into, gemv_portable_into] {
+        let mut y = vec![1.0f32; 1];
+        f(&mut y, x.as_slice(), &b, Epilogue::None);
+        assert_eq!(y[0].to_bits(), (-0.0f32).to_bits());
+        assert_eq!(y[0], want.as_slice()[0]);
     }
 }
 

@@ -331,6 +331,10 @@ impl PoolState {
     /// ascending estimated-release order (ties broken by job id) so the
     /// encoding is deterministic. If a running job has overstayed its
     /// estimate the remaining time clamps to zero.
+    ///
+    /// This is the reference layout: the state encoder writes the same
+    /// pairs straight into its reused buffer and checks itself against
+    /// this vector in its tests.
     pub fn unit_vector(&self, r: usize, now: SimTime) -> Vec<(f32, f32)> {
         let mut v = Vec::with_capacity(self.capacities[r] as usize);
         for _ in 0..self.free[r] {

@@ -5,8 +5,8 @@
 //! logs, and then derives five two-resource workloads S1–S5 (Table III)
 //! and five three-resource workloads S6–S10 (§V-E). The original trace is
 //! proprietary, so this crate substitutes a *statistical Theta-like
-//! synthesizer* (see DESIGN.md §3) and implements the published
-//! derivation rules exactly:
+//! synthesizer* (its distributions are listed in [`theta`]) and
+//! implements the published derivation rules exactly:
 //!
 //! * [`dist`] — the distributions the synthesizer needs (normal,
 //!   log-normal, log-uniform, Poisson process), built on plain `rand`,

@@ -2,8 +2,9 @@
 //!
 //! The paper's base trace is five months of 2018 production jobs from
 //! Theta at ALCF (4392 Intel KNL nodes). That log is proprietary, so this
-//! module generates a statistically similar trace (the substitution is
-//! documented in DESIGN.md §3):
+//! module generates a statistically similar trace instead. The
+//! substitution keeps the trace's shape — the properties below — and not
+//! its individual jobs:
 //!
 //! * **Node counts** — Theta's scheduling policy allocates in large
 //!   blocks; production logs show strong mass on powers of two between

@@ -1,6 +1,6 @@
 //! Integration test: the entire pipeline is bit-deterministic under a
-//! fixed seed — a DESIGN.md commitment that every figure regenerates
-//! identically.
+//! fixed seed. The repository commits to this so that every figure
+//! regenerates identically from its seed.
 
 use mrsch::prelude::*;
 use mrsch_experiments::{fig1, ExpScale};
