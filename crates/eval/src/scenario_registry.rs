@@ -264,12 +264,6 @@ impl ScenarioSpec {
         Ok(parsed)
     }
 
-    /// Does this spec carry a workflow DAG (and thus a meaningful
-    /// critical-path regret baseline)?
-    pub fn has_dag(&self) -> bool {
-        matches!(self, ScenarioSpec::DagFanout { .. } | ScenarioSpec::DagChain { .. })
-    }
-
     /// Materialize this spec into a [`Scenario`] over the caller's job
     /// source. Bursty families replace the source with an open stress
     /// stream sized to the source's scale; every other family layers on
@@ -435,7 +429,7 @@ mod tests {
     fn registered_specs_cover_all_three_new_families() {
         let reg = ScenarioSpec::registered();
         assert_eq!(reg.len(), 10);
-        assert!(reg.iter().any(|s| s.has_dag()));
+        assert!(reg.iter().any(|s| matches!(s, ScenarioSpec::DagFanout { .. })));
         assert!(reg.iter().any(|s| matches!(s, ScenarioSpec::BurstyDiurnal { .. })));
         assert!(reg.iter().any(|s| matches!(s, ScenarioSpec::EnergyDrain)));
     }

@@ -5,7 +5,7 @@
 //! mrsch_cli simulate --swf trace.swf --workload S4 --nodes 256 --bb 75 --policy mrsch
 //! mrsch_cli resume --from snaps/shard-0000.snap --policy fcfs
 //! mrsch_cli evaluate --policy fcfs,mrsch --scenario drain --seeds 0..4
-//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077 --workers 2
+//! mrsch_cli serve --mode tcp --addr 127.0.0.1:7077
 //! mrsch_cli fig fig5
 //! ```
 //!
@@ -35,7 +35,7 @@ use crate::figures;
 use mrsch::prelude::*;
 use mrsch_eval::table::{self, Table};
 use mrsch_eval::{BuildContext, EvalPlan, PolicySpec};
-use mrsch_serve::{server, BatcherConfig, EngineSpec, LoadgenConfig};
+use mrsch_serve::{server, EngineSpec, LoadgenConfig};
 use mrsch_workload::disruption::{swf_cancel_events, swf_relative_cancels};
 use mrsch_workload::swf::parse_swf;
 use mrsch_workload::theta::TraceJob;
@@ -181,8 +181,6 @@ pub const SERVE_FLAGS: &[Flag] = &[
     flag("--mode", "stdin|tcp|loadtest", "stdin", "protocol lines on stdin/stdout, a TCP listener, or a seeded self-test"),
     flag("--addr", "HOST:PORT", "127.0.0.1:7077", "tcp: listen address"),
     flag("--policy", "SPEC", "mrsch", "DFP policy to serve: mrsch, mrsch:cnn"),
-    flag("--queue-capacity", "N", "1024", "queue bound before shedding"),
-    flag("--workers", "N", "1", "decision worker threads (never changes a decision)"),
     flag("--window", "W", "10", "engine: actions / scheduling window"),
     flag("--nodes", "N", "256", "engine: compute nodes"),
     flag("--bb", "N", "75", "engine: burst-buffer units"),
@@ -915,8 +913,6 @@ pub struct ServeArgs {
     pub mode: ServeMode,
     /// TCP listen address.
     pub addr: String,
-    /// Request-queue and worker-pool knobs.
-    pub batcher: BatcherConfig,
     /// What network to build (and optionally train) — the policy is
     /// resolved through the registry, so `serve` and `evaluate` can
     /// never disagree about a spec string.
@@ -937,10 +933,6 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
             _ => Err("unknown mode (expected stdin|tcp|loadtest)".into()),
         })?,
         addr: m.required("--addr", from_str)?,
-        batcher: BatcherConfig {
-            queue_capacity: m.required("--queue-capacity", from_str)?,
-            workers: m.required("--workers", positive)? as usize,
-        },
         engine: EngineSpec {
             window: m.required("--window", positive)? as usize,
             nodes: m.required("--nodes", positive)?,
@@ -967,21 +959,20 @@ pub fn parse_serve_args(args: &[String]) -> Result<ServeArgs, CliError> {
 /// Full `serve` entry point: build the engine, run the requested mode,
 /// return its summary line.
 pub fn serve_main(args: &[String]) -> Result<String, String> {
-    let ServeArgs { mode, addr, batcher, engine, load } = parse_serve_args(args)?;
+    let ServeArgs { mode, addr, engine, load } = parse_serve_args(args)?;
     let engine = mrsch_serve::build_engine(&engine);
     let summary = match mode {
-        ServeMode::Stdin => server::run_stdin(engine, batcher)?,
-        ServeMode::Tcp => server::run_tcp(engine, batcher, &addr)?,
+        ServeMode::Stdin => server::run_stdin(&engine),
+        ServeMode::Tcp => server::run_tcp(engine, &addr)?,
         ServeMode::Loadtest => {
-            let report = server::run_loadtest(engine, batcher, &load);
+            let report = server::run_loadtest(&engine, &load);
             format!(
-                "loadtest: {} requests at {:.0} qps target -> {} answered, {} dropped | \
+                "loadtest: {} requests at {:.0} qps target -> {} answered | \
                  latency p50={}us p95={}us p99={}us mean={}us max={}us | \
                  achieved {:.0} qps",
                 load.requests,
                 load.target_qps,
                 report.total,
-                report.dropped,
                 report.p50_ns / 1_000,
                 report.p95_ns / 1_000,
                 report.p99_ns / 1_000,
@@ -1381,11 +1372,10 @@ mod tests {
     #[test]
     fn loadtest_mode_end_to_end() {
         let out = serve_main(&argv(
-            "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000 \
-             --workers 2",
+            "--mode loadtest --window 4 --nodes 16 --bb 8 --requests 32 --qps 2000",
         ))
         .expect("loadtest runs");
-        assert!(out.contains("32 answered, 0 dropped"), "report: {out}");
+        assert!(out.contains("-> 32 answered |"), "report: {out}");
         assert!(out.contains("p99="), "report: {out}");
     }
 
@@ -1394,13 +1384,16 @@ mod tests {
         let err = |s: &str| serve_main(&argv(s)).unwrap_err();
         assert!(err("--mode warp").contains("unknown mode"));
         assert!(err("--frobnicate 3").contains("unknown flag"));
-        assert!(err("--workers").contains("requires a value"));
-        assert!(err("--workers 0").contains("must be positive"));
-        // Workers decide one request at a time: there is no flush depth.
-        assert_eq!(
-            parse_serve_args(&args(&["--batch", "8"])).unwrap_err(),
-            CliError::UnknownFlag("--batch".into())
-        );
+        assert!(err("--window").contains("requires a value"));
+        assert!(err("--window 0").contains("must be positive"));
+        // Each request is decided alone, on its connection's thread:
+        // there is no flush depth and no worker pool to size.
+        for (flag, value) in [("--batch", "8"), ("--workers", "2"), ("--queue-capacity", "64")] {
+            assert_eq!(
+                parse_serve_args(&args(&[flag, value])).unwrap_err(),
+                CliError::UnknownFlag(flag.into())
+            );
+        }
         assert!(err("--policy fcfs").contains("not a servable"));
         assert!(run(&argv("serve --help")).unwrap().contains("mrsch_cli serve"));
     }

@@ -153,15 +153,37 @@ mod tests {
             ("fig9", 0xd94b_905a_bac8_194e),
             ("ablation", 0x3171_b92b_d2f6_9b2c),
         ];
+        // The summary tables after each figure's first, pinned when this
+        // test grew to cover every table: (figure, table index, digest
+        // of the title line and the CSV — fig7's title carries a result).
+        let summaries: [(&str, usize, u64); 4] = [
+            ("fig4", 1, 0x51a8_4d25_fe60_2427), // lowest-final-loss ordering
+            ("fig6", 1, 0x4af8_f54e_ebbc_cc2d), // the 48 % / 41 % headline
+            ("fig7", 1, 0xb827_6351_dd31_456b), // largest Kiviat area per workload
+            ("fig8", 1, 0xaf4b_f93b_bf79_1dc4), // rBB box
+        ];
         assert_eq!(pinned.len() + 1, FIGURES.len(), "every figure but `overhead` is pinned");
         let mut moved = Vec::new();
-        for (name, expected) in pinned {
+        let mut tables = 0;
+        for (name, first) in pinned {
             let (_, figure) = FIGURES.iter().find(|(n, _)| *n == name).expect("registered");
-            let got = digest(&figure(&ExpScale::quick(), 11)[0].to_csv());
-            if got != expected {
-                moved.push(format!("{name}: {got:#018x} (pinned {expected:#018x})"));
+            for (i, table) in figure(&ExpScale::quick(), 11).iter().enumerate() {
+                tables += 1;
+                let (expected, got) = match i {
+                    0 => (Some(first), digest(&table.to_csv())),
+                    _ => (
+                        summaries.iter().find(|s| (s.0, s.1) == (name, i)).map(|s| s.2),
+                        digest(&format!("{}\n{}", table.title, table.to_csv())),
+                    ),
+                };
+                match expected {
+                    Some(e) if e == got => {}
+                    Some(e) => moved.push(format!("{name}[{i}]: {got:#018x} (pinned {e:#018x})")),
+                    None => moved.push(format!("{name}[{i}]: {got:#018x} (not pinned)")),
+                }
             }
         }
+        assert_eq!(tables, pinned.len() + summaries.len(), "a summary pin names no table");
         assert!(moved.is_empty(), "figure CSVs changed:\n{}", moved.join("\n"));
     }
 }

@@ -1,7 +1,7 @@
 //! Weight initializers and the Gaussian sampler they share.
 //!
 //! `rand` (without `rand_distr`) only provides uniform sampling, so the
-//! normal draws used by Xavier/He initialization are produced by the
+//! normal draws used by He initialization are produced by the
 //! Box–Muller transform implemented here.
 
 use crate::matrix::Matrix;
@@ -18,14 +18,6 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f32 {
 /// Draw a normal sample with the given mean and standard deviation.
 pub fn normal<R: Rng + ?Sized>(rng: &mut R, mean: f32, std_dev: f32) -> f32 {
     mean + std_dev * standard_normal(rng)
-}
-
-/// Xavier/Glorot-normal initialization: `N(0, sqrt(2 / (fan_in + fan_out)))`.
-///
-/// Suitable for the tanh/linear layers of the measurement and goal modules.
-pub fn xavier_normal<R: Rng + ?Sized>(rng: &mut R, rows: usize, cols: usize) -> Matrix {
-    let std_dev = (2.0 / (rows + cols) as f32).sqrt();
-    gaussian_matrix(rng, rows, cols, std_dev)
 }
 
 /// He-normal initialization: `N(0, sqrt(2 / fan_in))`.
@@ -47,18 +39,6 @@ pub fn gaussian_matrix<R: Rng + ?Sized>(
     let data = (0..rows * cols)
         .map(|_| std_dev * standard_normal(rng))
         .collect();
-    Matrix::from_vec(rows, cols, data)
-}
-
-/// A matrix of iid uniform entries in `[lo, hi)`.
-pub fn uniform_matrix<R: Rng + ?Sized>(
-    rng: &mut R,
-    rows: usize,
-    cols: usize,
-    lo: f32,
-    hi: f32,
-) -> Matrix {
-    let data = (0..rows * cols).map(|_| rng.gen_range(lo..hi)).collect();
     Matrix::from_vec(rows, cols, data)
 }
 
@@ -89,25 +69,9 @@ mod tests {
     }
 
     #[test]
-    fn xavier_std_dev_matches_fans() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let m = xavier_normal(&mut rng, 300, 200);
-        let var = m.norm_sq() / m.len() as f32;
-        let expect = 2.0 / 500.0;
-        assert!((var - expect).abs() / expect < 0.15, "var {var} expect {expect}");
-    }
-
-    #[test]
     fn deterministic_under_seed() {
         let a = he_normal(&mut StdRng::seed_from_u64(3), 8, 8);
         let b = he_normal(&mut StdRng::seed_from_u64(3), 8, 8);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn uniform_bounds_respected() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let m = uniform_matrix(&mut rng, 10, 10, -0.5, 0.5);
-        assert!(m.as_slice().iter().all(|&x| (-0.5..0.5).contains(&x)));
     }
 }

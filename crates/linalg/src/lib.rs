@@ -9,7 +9,7 @@
 //!   in [`gemm`], with panel packing in [`pack`],
 //! * fused batch-1 matrix–vector kernels with a bias/ReLU epilogue (the
 //!   decision-serving hot path) in [`gemv`],
-//! * weight initializers (Xavier/He, Box–Muller normal) in [`init`],
+//! * weight initializers (He, Box–Muller normal) in [`init`],
 //! * summary statistics helpers in [`stats`].
 //!
 //! The crate is deliberately tiny and dependency-light: everything is

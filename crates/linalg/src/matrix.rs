@@ -45,12 +45,6 @@ impl Matrix {
         Self { rows: 1, cols, data }
     }
 
-    /// Build an `n x 1` column vector.
-    pub fn col_vector(data: Vec<f32>) -> Self {
-        let rows = data.len();
-        Self { rows, cols: 1, data }
-    }
-
     /// Identity matrix of size `n x n`.
     pub fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);

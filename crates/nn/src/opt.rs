@@ -94,14 +94,6 @@ impl Adam {
         Self { lr, beta1: 0.9, beta2: 0.999, eps: 1e-8, t: 0, m: Vec::new(), v: Vec::new() }
     }
 
-    /// Override the moment decay rates.
-    pub fn betas(mut self, beta1: f32, beta2: f32) -> Self {
-        assert!((0.0..1.0).contains(&beta1) && (0.0..1.0).contains(&beta2));
-        self.beta1 = beta1;
-        self.beta2 = beta2;
-        self
-    }
-
     /// Number of steps taken so far.
     pub fn steps(&self) -> u64 {
         self.t

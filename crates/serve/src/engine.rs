@@ -21,11 +21,6 @@ pub struct DecisionEngine {
 }
 
 impl DecisionEngine {
-    /// Wrap a frozen network.
-    pub fn from_network(net: DfpNetwork) -> Self {
-        Self { net }
-    }
-
     /// Clone the network out of a rollout snapshot.
     pub fn from_snapshot(snap: &PolicySnapshot) -> Self {
         Self { net: snap.network().clone() }

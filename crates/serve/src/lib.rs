@@ -10,16 +10,16 @@
 //!   (`id;state;meas;goal;valid` → `id;action`), transport-agnostic;
 //! * [`engine`] — the [`engine::DecisionEngine`]: a frozen DFP network
 //!   answering one request per fused-gemv forward pass;
-//! * [`batcher`] — a bounded, work-conserving request queue: a free
-//!   worker decides the oldest queued request at once, so an idle
-//!   service answers in the time one decision takes;
+//! * [`batcher`] — `MicroBatcher`, a shim that decides each submitted
+//!   request at once, kept only for `benchmarks/e2e`;
 //! * [`histogram`] — an HDR-style log-bucketed latency histogram
 //!   (p50/p95/p99 at ≤ 1/16 relative error, fixed memory);
 //! * [`loadgen`] — a seeded open-arrival load generator (Poisson
 //!   arrival gaps from `mrsch_workload::stress`, scaled to a target
 //!   QPS) for self-contained load tests;
-//! * [`server`] — stdin and TCP serving loops (replies leave as whole
-//!   lines, one write per burst, `TCP_NODELAY` on) plus the
+//! * [`server`] — stdin and TCP serving: one thread per stream reads,
+//!   decides and answers each request (replies leave as whole lines,
+//!   one write per burst, `TCP_NODELAY` on), plus the
 //!   [`server::run_loadtest`] harness used by CI.
 //!
 //! The `mrsch_cli serve` front door lives with the other subcommands in
@@ -27,8 +27,8 @@
 //!
 //! Determinism: the decision path inherits the GEMM/gemv bit-exactness
 //! contract, so the served action stream is a pure function of
-//! `(weights, request)` — independent of arrival timing, worker count,
-//! and transport.
+//! `(weights, request)` — independent of arrival timing, connection
+//! count, and transport.
 
 pub mod batcher;
 pub mod engine;

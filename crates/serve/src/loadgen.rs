@@ -5,7 +5,7 @@
 //! down, so tail latency looks flat no matter how overloaded the
 //! service is. An **open** arrival process — requests land on a
 //! schedule the server cannot push back on — is what exposes the
-//! micro-batcher's real latency distribution.
+//! service's real latency distribution.
 //!
 //! Arrival gaps come from [`mrsch_workload::StressConfig`]'s Poisson
 //! process (the same seeded synthesizer the engine benchmarks replay),

@@ -19,8 +19,8 @@
 //! (no valid action). The format is transport-agnostic: the same lines
 //! flow over stdin/stdout, a TCP connection, or the in-process load
 //! generator. Text keeps the service debuggable with a shell
-//! one-liner; parsing is off the scoring hot path (it happens on the
-//! connection thread, before the micro-batch queue).
+//! one-liner; parsing happens on the connection's thread, just before
+//! the decision.
 
 /// One decision request.
 #[derive(Clone, Debug, PartialEq)]

@@ -1,135 +1,112 @@
 //! Serving loops: stdin/stdout, TCP, and the in-process load test.
 //!
-//! All transports share one pump: read protocol lines, shape-check,
-//! submit to the [`MicroBatcher`], and stream responses back as replies
-//! arrive (a dedicated writer thread per stream, so slow clients never
-//! stall the request queue). The TCP listener multiplexes any number of
-//! connections onto **one** shared queue and worker pool.
+//! One thread per stream: stdin, and each accepted connection on a
+//! thread of its own, runs one loop that reads a line, parses and
+//! shape-checks it, decides it with [`DecisionEngine::decide_one`] and
+//! appends the reply to a burst — all where the line was read. A client
+//! that sends faster than it is answered is held back by TCP flow
+//! control on its own connection, and no other connection waits for it.
 //!
-//! Replies leave whole: the writer blocks for one reply, appends every
-//! other reply already waiting, and hands the burst to the transport
-//! as **one** `write_all` of complete `id;action\n` lines. A reply
-//! split over two small writes is what Nagle's algorithm holds back
-//! until the peer's delayed ACK (40 ms per round trip on Linux), so
-//! accepted sockets also get `TCP_NODELAY`: nothing here ever has a
-//! second half to wait for.
+//! Replies leave whole: the burst is handed to the transport as **one**
+//! `write_all` of complete `id;action\n` lines, once the reader holds no
+//! further buffered request, so requests that arrived together are
+//! answered together. A reply split over two small writes is what
+//! Nagle's algorithm holds back until the peer's delayed ACK (40 ms per
+//! round trip on Linux), so accepted sockets also get `TCP_NODELAY`:
+//! nothing here ever has a second half to wait for.
 //!
 //! [`run_loadtest`] closes the loop for CI: a seeded open-arrival
-//! request schedule ([`crate::loadgen`]) is pushed through a batcher
-//! and the reply stream is folded into a [`LatencyHistogram`], yielding
-//! p50/p95/p99/QPS for the bench suite and the README numbers.
+//! request schedule ([`crate::loadgen`]) is decided request by request
+//! as each falls due, and the latencies, timed from the due time, are
+//! folded into a [`LatencyHistogram`].
 
-use crate::batcher::{BatcherConfig, MicroBatcher, Reply};
+use crate::batcher::BatcherConfig;
 use crate::engine::DecisionEngine;
 use crate::histogram::LatencyHistogram;
 use crate::loadgen::{arrival_offsets, synth_requests, LoadgenConfig};
 use crate::protocol::{append_response, parse_request};
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpListener;
-use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// What one pump (stream) saw.
-struct PumpStats {
-    submitted: u64,
+/// What one stream saw.
+#[derive(Default)]
+struct StreamStats {
+    decided: u64,
     malformed: u64,
-    shed: u64,
     hist: LatencyHistogram,
 }
 
-/// The writer half of a pump: block for one reply, append every other
-/// reply already waiting, and write the burst as one buffer of whole
-/// lines. Returns the decision latencies once every sender is gone.
-fn write_replies<W: Write>(rx: &mpsc::Receiver<Reply>, mut output: W) -> LatencyHistogram {
-    let mut hist = LatencyHistogram::new();
-    let mut burst = String::new();
-    while let Ok(first) = rx.recv() {
-        burst.clear();
-        for reply in std::iter::once(first).chain(rx.try_iter()) {
-            // batch_size == 0 marks synthetic replies (shape errors,
-            // shed requests) — answered, but not a measured decision.
-            if reply.batch_size > 0 {
-                let ns = reply.completed.duration_since(reply.submitted).as_nanos() as u64;
-                hist.record(ns);
-            }
-            append_response(&mut burst, reply.id, reply.action);
-            burst.push('\n');
-        }
-        let _ = output.write_all(burst.as_bytes());
-        let _ = output.flush();
-    }
-    hist
-}
-
-/// Read lines from `input`, submit to `batcher`, stream responses to
-/// `output` as they complete. Returns once `input` hits EOF and every
-/// accepted request has been answered.
-fn pump<R: BufRead, W: Write + Send + 'static>(
-    batcher: &MicroBatcher,
-    input: R,
-    output: W,
-) -> PumpStats {
-    let (tx, rx) = mpsc::channel::<Reply>();
-    let writer = std::thread::spawn(move || write_replies(&rx, output));
-
-    let mut stats = PumpStats { submitted: 0, malformed: 0, shed: 0, hist: LatencyHistogram::new() };
-    let refuse = |id: u64, tx: &mpsc::Sender<Reply>| {
-        let now = Instant::now();
-        let _ = tx.send(Reply { id, action: None, submitted: now, completed: now, batch_size: 0 });
-    };
-    for line in input.lines() {
-        let line = match line {
-            Ok(line) => line,
-            // A line that is not UTF-8 has been consumed whole; it is
-            // one bad request, not the end of the connection.
-            Err(err) if err.kind() == ErrorKind::InvalidData => {
-                stats.malformed += 1;
-                eprintln!("mrsch-serve: malformed request: {err}");
-                continue;
-            }
-            Err(_) => break,
-        };
-        if line.trim().is_empty() {
-            continue;
-        }
-        let req = match parse_request(&line) {
+impl StreamStats {
+    /// Answer one non-blank request line into `burst`: a decision, or
+    /// `id;none` for a request of the wrong shape. A line that is not
+    /// UTF-8 or does not parse is counted and gets no reply.
+    fn answer(&mut self, engine: &DecisionEngine, line: &[u8], burst: &mut String) {
+        let read = Instant::now();
+        let req = match std::str::from_utf8(line).map_err(|e| e.to_string()).and_then(parse_request) {
             Ok(req) => req,
             Err(err) => {
-                stats.malformed += 1;
+                self.malformed += 1;
                 eprintln!("mrsch-serve: malformed request: {err}");
-                continue;
+                return;
             }
         };
-        if let Err(err) = batcher.engine().check_request(&req) {
-            stats.malformed += 1;
-            eprintln!("mrsch-serve: request {}: {err}", req.id);
-            refuse(req.id, &tx);
-            continue;
-        }
-        let id = req.id;
-        if batcher.submit(req, tx.clone()) {
-            stats.submitted += 1;
-        } else {
-            stats.shed += 1;
-            refuse(id, &tx);
-        }
+        let action = match engine.check_request(&req) {
+            Ok(()) => {
+                let action = engine.decide_one(&req);
+                self.decided += 1;
+                self.hist.record(read.elapsed().as_nanos() as u64);
+                action
+            }
+            Err(err) => {
+                self.malformed += 1;
+                eprintln!("mrsch-serve: request {}: {err}", req.id);
+                None
+            }
+        };
+        append_response(burst, req.id, action);
+        burst.push('\n');
     }
-    // Close our sender; in-flight requests still hold clones, so the
-    // writer drains exactly until the last accepted reply.
-    drop(tx);
-    stats.hist = writer.join().expect("response writer");
-    stats
 }
 
-fn summary(stats: &PumpStats) -> String {
+/// Answer every request line of `input` on `output`, on the calling
+/// thread, until `input` ends or fails. Replies are written once no
+/// read request is left unanswered; a client that went away only costs
+/// us its replies.
+fn serve_lines<R: Read, W: Write>(engine: &DecisionEngine, input: R, mut output: W) -> StreamStats {
+    let mut stats = StreamStats::default();
+    let mut reader = BufReader::new(input);
+    let mut line = Vec::new();
+    let mut burst = String::new();
+    loop {
+        line.clear();
+        // A read error ends the stream; the partial line it leaves is
+        // not a request.
+        let more = matches!(reader.read_until(b'\n', &mut line), Ok(n) if n > 0);
+        if more && !line.trim_ascii().is_empty() {
+            stats.answer(engine, &line, &mut burst);
+        }
+        if !burst.is_empty() && (!more || reader.buffer().is_empty()) {
+            let _ = output.write_all(burst.as_bytes()).and_then(|()| output.flush());
+            burst.clear();
+        }
+        if !more {
+            return stats;
+        }
+    }
+}
+
+/// Serve one byte stream on the calling thread (the transport-agnostic
+/// core: stdin and every TCP connection run this loop). Returns a
+/// human-readable summary line.
+pub fn serve_stream<R: Read, W: Write>(engine: &DecisionEngine, input: R, output: W) -> String {
+    let stats = serve_lines(engine, input, output);
     let h = &stats.hist;
     format!(
-        "served {} decisions ({} malformed, {} shed) \
-         latency p50={}us p95={}us p99={}us max={}us",
-        stats.submitted,
+        "served {} decisions ({} malformed) latency p50={}us p95={}us p99={}us max={}us",
+        stats.decided,
         stats.malformed,
-        stats.shed,
         h.percentile(50.0) / 1_000,
         h.percentile(95.0) / 1_000,
         h.percentile(99.0) / 1_000,
@@ -137,84 +114,61 @@ fn summary(stats: &PumpStats) -> String {
     )
 }
 
-/// Serve one byte stream (the transport-agnostic core; stdin and TCP
-/// both land here). Returns a human-readable summary line.
-pub fn serve_stream<R: BufRead, W: Write + Send + 'static>(
-    engine: DecisionEngine,
-    cfg: BatcherConfig,
-    input: R,
-    output: W,
-) -> String {
-    let batcher = MicroBatcher::start(engine, cfg);
-    let stats = pump(&batcher, input, output);
-    batcher.shutdown();
-    summary(&stats)
+/// Serve requests from stdin, responses to stdout, until EOF.
+pub fn run_stdin(engine: &DecisionEngine) -> String {
+    serve_stream(engine, std::io::stdin(), std::io::stdout())
 }
 
-/// Serve requests from stdin, responses to stdout, until EOF. The
-/// summary goes to stderr so piped output stays machine-parseable.
-pub fn run_stdin(engine: DecisionEngine, cfg: BatcherConfig) -> Result<String, String> {
-    let line = serve_stream(engine, cfg, std::io::stdin().lock(), std::io::stdout());
-    Ok(line)
-}
-
-/// Accept connections on `listener`, multiplexing all of them onto one
-/// shared batcher. `max_conns` bounds the accept loop (for tests and
-/// drills); `None` serves forever.
+/// Accept connections on `listener` and serve each on a thread of its
+/// own, all sharing one engine. `max_conns` bounds the accept loop (for
+/// tests and drills); `None` serves forever. The unused `BatcherConfig`
+/// and the summary's constant `0 shed` are kept only because
+/// `benchmarks/e2e` imports this signature and parses four numbers from
+/// the summary.
 pub fn serve_listener(
     listener: TcpListener,
     engine: DecisionEngine,
-    cfg: BatcherConfig,
+    _: BatcherConfig,
     max_conns: Option<usize>,
 ) -> Result<String, String> {
-    let batcher = Arc::new(MicroBatcher::start(engine, cfg));
+    let engine = Arc::new(engine);
     let mut handles = Vec::new();
-    let mut served = 0usize;
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("accept: {e}"))?;
         stream.set_nodelay(true).map_err(|e| format!("set TCP_NODELAY: {e}"))?;
-        let write_half = stream.try_clone().map_err(|e| format!("clone stream: {e}"))?;
-        let batcher = Arc::clone(&batcher);
+        let engine = Arc::clone(&engine);
         handles.push(std::thread::spawn(move || {
-            let stats = pump(&batcher, BufReader::new(stream), write_half);
-            (stats.submitted, stats.malformed, stats.shed)
+            let stats = serve_lines(&engine, &stream, &stream);
+            (stats.decided, stats.malformed)
         }));
-        served += 1;
-        if max_conns.is_some_and(|m| served >= m) {
+        if max_conns.is_some_and(|m| handles.len() >= m) {
             break;
         }
     }
-    let mut totals = (0u64, 0u64, 0u64);
+    let served = handles.len();
+    let (mut decided, mut malformed) = (0, 0);
     for h in handles {
-        let (s, m, d) = h.join().expect("connection pump");
-        totals = (totals.0 + s, totals.1 + m, totals.2 + d);
+        let (d, m) = h.join().expect("connection thread");
+        decided += d;
+        malformed += m;
     }
-    match Arc::try_unwrap(batcher) {
-        Ok(b) => b.shutdown(),
-        Err(_) => unreachable!("all connection threads joined"),
-    }
-    Ok(format!(
-        "served {} connections: {} decisions ({} malformed, {} shed)",
-        served, totals.0, totals.1, totals.2
-    ))
+    Ok(format!("served {served} connections: {decided} decisions ({malformed} malformed, 0 shed)"))
 }
 
 /// Bind `addr` and serve TCP connections until interrupted.
-pub fn run_tcp(engine: DecisionEngine, cfg: BatcherConfig, addr: &str) -> Result<String, String> {
+pub fn run_tcp(engine: DecisionEngine, addr: &str) -> Result<String, String> {
     let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
     let local = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
     eprintln!("mrsch-serve: listening on {local}");
-    serve_listener(listener, engine, cfg, None)
+    serve_listener(listener, engine, BatcherConfig, None)
 }
 
 /// The outcome of a seeded open-arrival load test.
 #[derive(Clone, Copy, Debug)]
 pub struct LoadReport {
-    /// Requests answered by the engine.
+    /// Requests decided.
     pub total: u64,
-    /// Requests shed at the queue (must be 0 for a passing CI run).
-    pub dropped: u64,
-    /// Median end-to-end latency (submit → decision), nanoseconds.
+    /// Median latency (due time → decision), nanoseconds.
     pub p50_ns: u64,
     /// 95th-percentile latency, nanoseconds.
     pub p95_ns: u64,
@@ -228,45 +182,27 @@ pub struct LoadReport {
     pub qps: f64,
 }
 
-/// Push a seeded open-arrival schedule through a micro-batcher and
-/// fold the replies into a latency report.
-pub fn run_loadtest(
-    engine: DecisionEngine,
-    cfg: BatcherConfig,
-    lg: &LoadgenConfig,
-) -> LoadReport {
+/// Decide a seeded open-arrival schedule on the calling thread, each
+/// request when it falls due, timing latency from the due time: a
+/// request that falls due while an earlier one is still being decided
+/// counts its wait.
+pub fn run_loadtest(engine: &DecisionEngine, lg: &LoadgenConfig) -> LoadReport {
     let reqs = synth_requests(engine.config(), lg.requests, lg.seed);
     let offsets = arrival_offsets(lg.requests, lg.target_qps, lg.seed);
-    let batcher = MicroBatcher::start(engine, cfg);
-
-    let (tx, rx) = mpsc::channel::<Reply>();
-    let collector = std::thread::spawn(move || {
-        let mut hist = LatencyHistogram::new();
-        for reply in rx {
-            hist.record(reply.completed.duration_since(reply.submitted).as_nanos() as u64);
-        }
-        hist
-    });
-
+    let mut hist = LatencyHistogram::new();
     let start = Instant::now();
-    for (req, offset) in reqs.into_iter().zip(offsets) {
-        let elapsed = start.elapsed();
-        if elapsed < offset {
-            std::thread::sleep(offset - elapsed);
+    for (req, offset) in reqs.iter().zip(offsets) {
+        let due = start + offset;
+        if let Some(early) = due.checked_duration_since(Instant::now()) {
+            std::thread::sleep(early);
         }
-        // A shed request sends no reply; the drop counter records it.
-        let _ = batcher.submit(req, tx.clone());
+        std::hint::black_box(engine.decide_one(req));
+        hist.record(due.elapsed().as_nanos() as u64);
     }
-    drop(tx);
-    let dropped = batcher.dropped();
-    batcher.shutdown();
     let wall = start.elapsed();
-    let hist = collector.join().expect("reply collector");
-
     let total = hist.count();
     LoadReport {
         total,
-        dropped,
         p50_ns: hist.percentile(50.0),
         p95_ns: hist.percentile(95.0),
         p99_ns: hist.percentile(99.0),
@@ -283,21 +219,19 @@ mod tests {
     use crate::protocol::{format_request, parse_response};
     use std::io::Cursor;
     use std::net::TcpStream;
-    use std::sync::Mutex;
     use std::time::Duration;
 
     fn test_engine() -> DecisionEngine {
         build_engine(&EngineSpec { window: 4, nodes: 16, bb: 8, ..EngineSpec::default() })
     }
 
-    /// A Write sink that keeps each `write` call apart, for tests to
-    /// read back after the writer thread exits.
-    #[derive(Clone, Default)]
-    struct SharedBuf(Arc<Mutex<Vec<Vec<u8>>>>);
+    /// A Write sink that keeps each `write` call apart.
+    #[derive(Default)]
+    struct Writes(Vec<Vec<u8>>);
 
-    impl Write for SharedBuf {
+    impl Write for Writes {
         fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.0.lock().unwrap().push(buf.to_vec());
+            self.0.push(buf.to_vec());
             Ok(buf.len())
         }
         fn flush(&mut self) -> std::io::Result<()> {
@@ -305,13 +239,16 @@ mod tests {
         }
     }
 
-    fn responses(buf: &SharedBuf) -> Vec<(u64, Option<usize>)> {
-        let bytes = buf.0.lock().unwrap().concat();
-        String::from_utf8(bytes)
+    fn responses(out: &Writes) -> Vec<(u64, Option<usize>)> {
+        String::from_utf8(out.0.concat())
             .unwrap()
             .lines()
             .map(|l| parse_response(l).unwrap())
             .collect()
+    }
+
+    fn lines_of(reqs: &[crate::Request]) -> String {
+        reqs.iter().map(|r| format_request(r) + "\n").collect()
     }
 
     #[test]
@@ -320,19 +257,10 @@ mod tests {
         let reqs = synth_requests(engine.config(), 12, 21);
         let expected: Vec<(u64, Option<usize>)> =
             reqs.iter().map(|r| (r.id, engine.decide_one(r))).collect();
-        let input: String =
-            reqs.iter().map(|r| format_request(r) + "\n").collect();
-        let out = SharedBuf::default();
-        let line = serve_stream(
-            engine,
-            BatcherConfig::default(),
-            Cursor::new(input),
-            out.clone(),
-        );
+        let mut out = Writes::default();
+        let line = serve_stream(&engine, Cursor::new(lines_of(&reqs)), &mut out);
         assert!(line.contains("served 12 decisions"), "summary: {line}");
-        let mut got = responses(&out);
-        got.sort_unstable();
-        assert_eq!(got, expected, "every request answered with the serial decision");
+        assert_eq!(responses(&out), expected, "every request answered with the serial decision");
     }
 
     #[test]
@@ -344,9 +272,9 @@ mod tests {
             format_request(&reqs[0]),
             format_request(&reqs[1]),
         );
-        let out = SharedBuf::default();
-        let line = serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
-        assert!(line.contains("served 2 decisions (2 malformed"), "summary: {line}");
+        let mut out = Writes::default();
+        let line = serve_stream(&engine, Cursor::new(input), &mut out);
+        assert!(line.contains("served 2 decisions (2 malformed)"), "summary: {line}");
         let got = responses(&out);
         // The misshapen-but-parseable request is refused with `none`.
         assert!(got.contains(&(7, None)), "shape-checked refusal: {got:?}");
@@ -362,53 +290,45 @@ mod tests {
 
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            serve_listener(listener, engine, BatcherConfig::default(), Some(1))
-        });
+        let server =
+            std::thread::spawn(move || serve_listener(listener, engine, BatcherConfig, Some(1)));
 
         let mut conn = TcpStream::connect(addr).expect("connect");
-        for r in &reqs {
-            writeln!(conn, "{}", format_request(r)).unwrap();
-        }
+        conn.write_all(lines_of(&reqs).as_bytes()).unwrap();
         conn.shutdown(std::net::Shutdown::Write).unwrap();
-        let mut got: Vec<(u64, Option<usize>)> = BufReader::new(conn)
+        let got: Vec<(u64, Option<usize>)> = BufReader::new(conn)
             .lines()
             .map(|l| parse_response(&l.unwrap()).unwrap())
             .collect();
-        got.sort_unstable();
         assert_eq!(got, expected);
 
         let summary = server.join().unwrap().expect("server ok");
-        assert!(summary.contains("served 1 connections"), "summary: {summary}");
+        assert_eq!(summary, "served 1 connections: 8 decisions (0 malformed, 0 shed)");
     }
 
     #[test]
     fn every_write_is_whole_lines_and_waiting_replies_leave_together() {
         let engine = test_engine();
         let reqs = synth_requests(engine.config(), 40, 8);
-        let input: String = reqs.iter().map(|r| format_request(r) + "\n").collect();
-        let out = SharedBuf::default();
-        serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
-        let writes = out.0.lock().unwrap().clone();
-        assert!(!writes.is_empty() && writes.len() <= reqs.len());
-        for write in &writes {
+        let mut out = Writes::default();
+        serve_stream(&engine, Cursor::new(lines_of(&reqs)), &mut out);
+        assert!(!out.0.is_empty() && out.0.len() <= reqs.len());
+        for write in &out.0 {
             let text = std::str::from_utf8(write).unwrap();
             assert!(text.ends_with('\n'), "a write ends mid-line: {text:?}");
             assert!(text.lines().all(|l| parse_response(l).is_ok()), "not whole replies: {text:?}");
         }
         assert_eq!(responses(&out).len(), reqs.len());
 
-        // Five replies already waiting when the writer wakes: one write.
-        let (tx, rx) = mpsc::channel();
-        let now = Instant::now();
-        for id in 0..5 {
-            tx.send(Reply { id, action: Some(1), submitted: now, completed: now, batch_size: 1 }).unwrap();
-        }
-        drop(tx);
-        let out = SharedBuf::default();
-        let hist = write_replies(&rx, out.clone());
-        assert_eq!(hist.count(), 5);
-        assert_eq!(*out.0.lock().unwrap(), [b"0;1\n1;1\n2;1\n3;1\n4;1\n".to_vec()]);
+        // Five requests already read into the buffer together: one write.
+        let five = &reqs[..5];
+        let mut out = Writes::default();
+        serve_stream(&engine, Cursor::new(lines_of(five)), &mut out);
+        let expected: String = five
+            .iter()
+            .map(|r| crate::format_response(r.id, engine.decide_one(r)) + "\n")
+            .collect();
+        assert_eq!(out.0, [expected.into_bytes()]);
     }
 
     #[test]
@@ -426,11 +346,29 @@ mod tests {
         }
         input.extend_from_slice(good.as_bytes());
         input.push(b'\n');
-        let out = SharedBuf::default();
-        let line = serve_stream(engine, BatcherConfig::default(), Cursor::new(input), out.clone());
-        assert!(line.contains("served 2 decisions (5 malformed"), "summary: {line}");
+        let mut out = Writes::default();
+        let line = serve_stream(&engine, Cursor::new(input), &mut out);
+        assert!(line.contains("served 2 decisions (5 malformed)"), "summary: {line}");
         let ids: Vec<u64> = responses(&out).iter().map(|r| r.0).collect();
         assert_eq!(ids, [reqs[0].id, reqs[1].id], "only the two real requests are answered");
+    }
+
+    /// Depth-1 round trips of `reqs` on `conn`, each checked against
+    /// `engine`'s serial decision; returns the round-trip times.
+    fn round_trips(conn: &TcpStream, engine: &DecisionEngine, reqs: &[crate::Request]) -> Vec<Duration> {
+        conn.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut replies = BufReader::new(conn);
+        let mut reply = String::new();
+        reqs.iter()
+            .map(|r| {
+                let sent = Instant::now();
+                (&*conn).write_all((format_request(r) + "\n").as_bytes()).unwrap();
+                reply.clear();
+                replies.read_line(&mut reply).expect("a reply within the read timeout");
+                assert_eq!(parse_response(&reply).unwrap(), (r.id, engine.decide_one(r)));
+                sent.elapsed()
+            })
+            .collect()
     }
 
     #[test]
@@ -439,44 +377,48 @@ mod tests {
         let reqs = synth_requests(engine.config(), 50, 77);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
         let addr = listener.local_addr().unwrap();
-        let server = std::thread::spawn(move || {
-            serve_listener(listener, engine, BatcherConfig::default(), Some(1))
-        });
+        let served = engine.clone();
+        let server =
+            std::thread::spawn(move || serve_listener(listener, served, BatcherConfig, Some(1)));
 
-        let mut conn = TcpStream::connect(addr).expect("connect");
-        let mut replies = BufReader::new(conn.try_clone().unwrap());
-        let mut reply = String::new();
-        let mut rtt: Vec<Duration> = reqs
-            .iter()
-            .map(|r| {
-                let line = format_request(r) + "\n";
-                let sent = Instant::now();
-                conn.write_all(line.as_bytes()).unwrap();
-                reply.clear();
-                replies.read_line(&mut reply).unwrap();
-                assert_eq!(parse_response(&reply).unwrap().0, r.id);
-                sent.elapsed()
-            })
-            .collect();
+        let conn = TcpStream::connect(addr).expect("connect");
+        let mut rtt = round_trips(&conn, &engine, &reqs);
         conn.shutdown(std::net::Shutdown::Write).unwrap();
         server.join().unwrap().expect("server ok");
         rtt.sort_unstable();
-        // A reply held for a delayed ACK costs 40 ms and a flush
-        // deadline its own length; a decision costs microseconds.
+        // A reply held for a delayed ACK costs 40 ms; a decision costs
+        // microseconds.
         let median = rtt[rtt.len() / 2];
         assert!(median < Duration::from_millis(10), "median round trip {median:?}");
     }
 
     #[test]
+    fn an_idle_connection_holds_up_no_other() {
+        let engine = test_engine();
+        let reqs = synth_requests(engine.config(), 20, 13);
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind ephemeral");
+        let addr = listener.local_addr().unwrap();
+        let served = engine.clone();
+        let server =
+            std::thread::spawn(move || serve_listener(listener, served, BatcherConfig, Some(2)));
+
+        // The first connection sends nothing and stays open throughout.
+        let idle = TcpStream::connect(addr).expect("connect idle");
+        let busy = TcpStream::connect(addr).expect("connect busy");
+        assert_eq!(round_trips(&busy, &engine, &reqs).len(), reqs.len());
+        for conn in [&busy, &idle] {
+            conn.shutdown(std::net::Shutdown::Write).unwrap();
+        }
+        let summary = server.join().unwrap().expect("server ok");
+        assert_eq!(summary, "served 2 connections: 20 decisions (0 malformed, 0 shed)");
+    }
+
+    #[test]
     fn loadtest_answers_all_requests_with_zero_drops() {
         let engine = test_engine();
-        let report = run_loadtest(
-            engine,
-            BatcherConfig::default(),
-            &LoadgenConfig { requests: 64, target_qps: 2_000.0, seed: 9 },
-        );
+        let report =
+            run_loadtest(&engine, &LoadgenConfig { requests: 64, target_qps: 2_000.0, seed: 9 });
         assert_eq!(report.total, 64);
-        assert_eq!(report.dropped, 0);
         assert!(report.p50_ns > 0 && report.p99_ns >= report.p50_ns);
         assert!(report.max_ns >= report.p99_ns);
         assert!(report.qps > 0.0);

@@ -298,14 +298,6 @@ impl SimReport {
         self.energy_total_joules() / 3.6e6
     }
 
-    /// Utilization of the named resource, if present.
-    pub fn utilization_of(&self, name: &str) -> Option<f64> {
-        self.resource_names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.resource_utilization[i])
-    }
-
     /// Every job in the trace reached a terminal state (finished,
     /// cancelled, or killed) — the disruption-scenario sanity invariant.
     pub fn all_jobs_accounted(&self, trace_len: usize) -> bool {
@@ -430,8 +422,7 @@ mod tests {
         assert_eq!(r.max_wait, 100);
         assert!((r.avg_slowdown - 1.5).abs() < 1e-12);
         assert_eq!(r.backfilled_jobs, 1);
-        assert_eq!(r.utilization_of("nodes"), Some(0.0));
-        assert_eq!(r.utilization_of("missing"), None);
+        assert_eq!(r.resource_utilization, [0.0, 0.0]);
         assert!(r.all_jobs_accounted(2));
     }
 

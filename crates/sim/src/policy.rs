@@ -76,19 +76,6 @@ impl<'a> SchedulerView<'a> {
         (0..self.pools.num_resources()).map(|r| self.pools.capacity(r)).collect()
     }
 
-    /// Fraction of configured capacity online per pool: all 1.0 in an
-    /// undisrupted system, 0.75 on a 25 % node drain. Policies use this
-    /// to detect (and react to) disruptions.
-    pub fn capacity_online(&self) -> Vec<f64> {
-        (0..self.pools.num_resources()).map(|r| self.pools.online_fraction(r)).collect()
-    }
-
-    /// Is any pool currently drained below its configured capacity?
-    pub fn is_disrupted(&self) -> bool {
-        (0..self.pools.num_resources())
-            .any(|r| self.pools.capacity(r) < self.pools.base_capacity(r))
-    }
-
     /// The goal-vector weights of the paper's Eq. (1): for each resource
     /// `j`, the normalized total outstanding demand-time
     /// `r_j = Σ_i P_ij·t_i / Σ_j Σ_i P_ij·t_i`, summed over *all* jobs in
@@ -288,11 +275,7 @@ mod tests {
             queued: &queued,
             jobs: &jobs,
         };
-        assert!(view.is_disrupted());
         assert_eq!(view.current_capacities(), vec![6, 4]);
-        let online = view.capacity_online();
-        assert!((online[0] - 0.75).abs() < 1e-12);
-        assert_eq!(online[1], 1.0);
     }
 
     #[test]

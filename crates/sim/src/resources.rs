@@ -176,16 +176,6 @@ impl PoolState {
         self.draining[r]
     }
 
-    /// Fraction of configured capacity currently online, in `[0, ∞)`.
-    /// 1.0 means no disruption; a 25 % node drain reads 0.75.
-    pub fn online_fraction(&self, r: usize) -> f64 {
-        if self.base_capacities[r] == 0 {
-            1.0
-        } else {
-            self.capacities[r] as f64 / self.base_capacities[r] as f64
-        }
-    }
-
     /// Apply a capacity change of `delta` units to pool `r`.
     ///
     /// Positive deltas first pay down drain debt (a return cancels a
@@ -503,7 +493,6 @@ mod tests {
         assert_eq!(pools.free(0), 7);
         assert_eq!(pools.draining(0), 0);
         assert_eq!(pools.base_capacity(0), 10);
-        assert!((pools.online_fraction(0) - 0.7).abs() < 1e-12);
         assert!(pools.check_conservation());
     }
 

@@ -475,13 +475,6 @@ pub fn unframe(expected_magic: [u8; 4], buf: &[u8]) -> Result<(u16, &[u8]), Code
     Ok((version, &buf[HEADER_LEN..HEADER_LEN + payload_len]))
 }
 
-/// Encode a value and wrap it in a frame in one step.
-pub fn encode_framed<T: Encode>(magic: [u8; 4], version: u16, value: &T) -> Vec<u8> {
-    let mut w = Writer::new();
-    value.encode(&mut w);
-    frame(magic, version, &w.into_bytes())
-}
-
 /// Open a frame and decode one value spanning the whole payload.
 /// `max_version` rejects frames newer than the caller understands.
 pub fn decode_framed<T: Decode>(
@@ -594,7 +587,9 @@ mod tests {
 
     #[test]
     fn frame_round_trips_and_validates() {
-        let framed = encode_framed(*b"TEST", 3, &vec![1u64, 2, 3]);
+        let mut w = Writer::new();
+        vec![1u64, 2, 3].encode(&mut w);
+        let framed = frame(*b"TEST", 3, &w.into_bytes());
         let (version, payload) = decode_framed::<Vec<u64>>(*b"TEST", 3, &framed).unwrap();
         assert_eq!(version, 3);
         assert_eq!(payload, vec![1, 2, 3]);
